@@ -224,11 +224,6 @@ class IncoherentUnitary:
         return {"dim": self.dim, "perm": list(self.perm), "phases": list(self.phases)}
 
 
-def realize_unitary(u: IncoherentUnitary) -> np.ndarray:
-    """Dense matrix of a relabeling-with-phases unitary."""
-    return u.matrix()
-
-
 def choi_matrix(ch: KrausChannel) -> np.ndarray:
     """sum_n |K_n>><<K_n| with row-major vectorization; rank = minimal Kraus count."""
     vecs = [k.reshape(-1) for k in ch.kraus]

@@ -81,26 +81,22 @@ def _write_text(text: str, out_path):
         sys.stdout.write(text)
 
 
-def emit_report(report: h_mod.CriterionReport, format: str = "json") -> str:
-    """Serialize one report; CSV uses the fixed column order and no witness."""
+def emit_reports(reports, format: str = "json") -> str:
+    """Serialize reports: JSON is one object for a single report and a list
+    otherwise; CSV is the fixed column order, one row per report, no witness."""
     if format == "json":
-        return json.dumps(report.to_dict(), indent=2, sort_keys=True)
+        payload = [r.to_dict() for r in reports]
+        if len(payload) == 1:
+            payload = payload[0]
+        return json.dumps(payload, indent=2, sort_keys=True) + "\n"
     if format == "csv":
-        return ",".join(CSV_COLUMNS) + "\n" + _csv_row(report) + "\n"
+        return "\n".join([",".join(CSV_COLUMNS)] + [_csv_row(r) for r in reports]) + "\n"
     raise BadParamsError(f"unknown format {format!r}")
 
 
 def _csv_row(report: h_mod.CriterionReport) -> str:
     d = report.to_dict()
     return ",".join(repr(d[c]) if isinstance(d[c], float) else str(d[c]) for c in CSV_COLUMNS)
-
-
-def emit_reports(reports, format: str = "json") -> str:
-    if format == "json":
-        return json.dumps([r.to_dict() for r in reports], indent=2, sort_keys=True)
-    if format == "csv":
-        return "\n".join([",".join(CSV_COLUMNS)] + [_csv_row(r) for r in reports]) + "\n"
-    raise BadParamsError(f"unknown format {format!r}")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -233,12 +229,7 @@ def _cmd_verify(args) -> int:
         cfg = h_mod.TrialConfig(dim=args.dim, n_trials=trials, seed=seed, tol=tol)
         reports.append(_run_one_criterion(criterion, args.measure, cfg, args.jobs, seed))
 
-    text = emit_reports(reports, args.format) if len(reports) > 1 else (
-        emit_report(reports[0], args.format)
-    )
-    if args.format == "json":
-        text += "\n"
-    _write_text(text, args.out)
+    _write_text(emit_reports(reports, args.format), args.out)
     return 1 if any(r.violations > 0 for r in reports) else 0
 
 
@@ -301,7 +292,7 @@ def run(argv) -> int:
     except _InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except BadParamsError as exc:
+    except (BadParamsError, BadDimError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
     except CoherenceLabError as exc:

@@ -30,6 +30,7 @@ violation of the property under test.
 from __future__ import annotations
 
 import dataclasses
+import os
 from concurrent.futures import ProcessPoolExecutor
 from functools import lru_cache
 from typing import Optional, Union
@@ -428,17 +429,22 @@ def _run_chunk(criterion: str, measure_name: str, cfg: TrialConfig, lo: int, hi:
     return [fn(measure_name, cfg, i) for i in range(lo, hi)]
 
 
+def _pool_size(jobs: int, cpus: int, n_chunks: int) -> int:
+    """Workers to start: the pool forks them all at once, so never more than the CPUs or chunks."""
+    return min(jobs, cpus, n_chunks)
+
+
 def _run_trials(criterion: str, measure_name: str, cfg: TrialConfig, jobs: int):
-    if jobs <= 1:
-        return _run_chunk(criterion, measure_name, cfg, 0, cfg.n_trials)
+    if jobs < 1:
+        raise BadParamsError(f"jobs must be >= 1, got {jobs}")
     bounds = np.linspace(0, cfg.n_trials, num=min(jobs * 4, cfg.n_trials) + 1, dtype=int)
+    chunks = [(int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:]) if a < b]
+    workers = _pool_size(jobs, os.cpu_count() or 1, len(chunks))
+    if workers == 1:
+        return _run_chunk(criterion, measure_name, cfg, 0, cfg.n_trials)
     outcomes = []
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        futures = [
-            pool.submit(_run_chunk, criterion, measure_name, cfg, int(a), int(b))
-            for a, b in zip(bounds[:-1], bounds[1:])
-            if a < b
-        ]
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        futures = [pool.submit(_run_chunk, criterion, measure_name, cfg, a, b) for a, b in chunks]
         for fut in futures:  # submission order == trial order
             outcomes.extend(fut.result())
     return outcomes

@@ -31,7 +31,7 @@ import numpy as np
 
 from . import numerics, states
 from .errors import BadParamsError, DimMismatchError, OptimizerFailedError
-from .states import DensityMatrix, PureState, from_pure, is_incoherent, off_diagonal_mass
+from .states import DensityMatrix, PureState, is_incoherent, off_diagonal_mass
 
 _LOG_FLOOR = 1e-15
 
@@ -100,11 +100,6 @@ class Ensemble:
         for w, psi in zip(self.weights, self.states):
             acc += w * np.outer(psi.amplitudes, psi.amplitudes.conj())
         return acc
-
-    def average_rel_ent(self) -> float:
-        return float(
-            sum(w * rel_ent_pure(psi) for w, psi in zip(self.weights, self.states))
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -365,8 +360,3 @@ def measure_by_name(
             lambda psi: c_skew_pure(psi, observable),
         )
     raise BadParamsError(f"unknown measure {name!r}; choose from {MEASURE_NAMES}")
-
-
-def evaluate_pure_consistent(measure: Measure, psi: PureState) -> float:
-    """Density-matrix path of a measure on a pure state (slow reference)."""
-    return measure.evaluate(from_pure(psi))

@@ -1,23 +1,17 @@
 """Dense complex linear algebra for small matrices (dimension 2 to ~16).
 
 Matrices are plain ``numpy.ndarray`` of complex128 in row-major order.
-The Hermitian eigensolver is a cyclic Jacobi iteration, which is simple,
-robust and accurate at these sizes; everything spectral in the package
-routes through it.
+Every spectral computation in the package goes through
+``hermitian_eigen``, a thin validated wrapper over LAPACK's ``eigh``.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import math
 
 import numpy as np
 
 from .errors import NonHermitianError, NonSquareError, NotPSDError
-
-# Convergence controls for the Jacobi sweep loop.
-_JACOBI_OFF_TOL = 1e-13
-_JACOBI_MAX_SWEEPS = 100
 
 # Eigenvalues in [-PSD_FLOOR, 0) are clamped to zero; anything lower is an error.
 PSD_FLOOR = 1e-9
@@ -43,12 +37,6 @@ def as_square_matrix(a, name: str = "matrix") -> np.ndarray:
     return m
 
 
-def is_hermitian(a: np.ndarray, tol: float = 1e-10) -> bool:
-    """True iff ``a`` equals its conjugate transpose within a relative Frobenius tolerance."""
-    a = as_square_matrix(a)
-    return frobenius(a - dagger(a)) <= tol * max(1.0, frobenius(a))
-
-
 @dataclasses.dataclass(frozen=True)
 class HermitianEigen:
     """Spectral decomposition A = V diag(w) V† with eigenvalues ascending."""
@@ -62,78 +50,27 @@ class HermitianEigen:
 
 
 def hermitian_eigen(a) -> HermitianEigen:
-    """Diagonalize a Hermitian matrix by cyclic Jacobi rotations.
+    """Diagonalize a Hermitian matrix with LAPACK (``numpy.linalg.eigh``).
 
-    Each rotation annihilates one off-diagonal pair; sweeps repeat until the
-    largest off-diagonal modulus falls below 1e-13 (or 100 sweeps).  Raises
-    NonHermitianError when ``a`` is not Hermitian within 1e-10 relative
-    Frobenius, NonSquareError when not square.
+    The solver runs on the exact Hermitian part ``(a + a†)/2``, which removes
+    representation noise below the tolerance.  Raises NonHermitianError when
+    ``a`` is not Hermitian within 1e-10 relative Frobenius, NonSquareError
+    when not square.
     """
     a = as_square_matrix(a)
     scale = max(1.0, frobenius(a))
     if frobenius(a - dagger(a)) > 1e-10 * scale:
         raise NonHermitianError("matrix is not Hermitian within 1e-10")
-
-    d = a.shape[0]
-    m = (a + dagger(a)) / 2.0  # exact Hermitian part; kills representation noise
-    v = np.eye(d, dtype=np.complex128)
-
-    offmask = ~np.eye(d, dtype=bool)
-    for _ in range(_JACOBI_MAX_SWEEPS):
-        if d == 1 or np.max(np.abs(m[offmask])) < _JACOBI_OFF_TOL:
-            break
-        for p in range(d - 1):
-            for q in range(p + 1, d):
-                apq = m[p, q]
-                mag = abs(apq)
-                if mag < 1e-150:  # below any meaningful scale; denormals break the phase division
-                    m[p, q] = 0.0
-                    m[q, p] = 0.0
-                    continue
-                phase = apq / mag
-                diff = m[p, p].real - m[q, q].real
-                # tan(2θ) = 2|a_pq| / (a_pp − a_qq), |θ| ≤ π/4
-                if diff == 0.0:
-                    t = 1.0
-                else:
-                    tau = diff / (2.0 * mag)
-                    t = math.copysign(1.0, tau) / (abs(tau) + math.hypot(1.0, tau))
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                s = t * c
-                sp = s * phase
-                spc = s * phase.conjugate()
-
-                # M ← J† M J with the plane rotation J: J[p,p]=J[q,q]=c,
-                # J[p,q]=−s·phase, J[q,p]=s·conj(phase).
-                col_p = m[:, p].copy()
-                col_q = m[:, q].copy()
-                m[:, p] = c * col_p + spc * col_q
-                m[:, q] = -sp * col_p + c * col_q
-                row_p = m[p, :].copy()
-                row_q = m[q, :].copy()
-                m[p, :] = c * row_p + sp * row_q
-                m[q, :] = -spc * row_p + c * row_q
-                m[p, q] = 0.0
-                m[q, p] = 0.0
-                m[p, p] = m[p, p].real
-                m[q, q] = m[q, q].real
-
-                vcol_p = v[:, p].copy()
-                vcol_q = v[:, q].copy()
-                v[:, p] = c * vcol_p + spc * vcol_q
-                v[:, q] = -sp * vcol_p + c * vcol_q
-
-    eigenvalues = np.diag(m).real.copy()
-    order = np.argsort(eigenvalues, kind="stable")
-    return HermitianEigen(eigenvalues=eigenvalues[order], eigenvectors=v[:, order])
+    eigenvalues, eigenvectors = np.linalg.eigh((a + dagger(a)) / 2.0)
+    return HermitianEigen(eigenvalues=eigenvalues, eigenvectors=eigenvectors)
 
 
 def psd_sqrt(a) -> np.ndarray:
     """Hermitian square root of a positive semidefinite matrix.
 
     Eigenvalues in [-1e-9, 0) are clamped to zero; anything below -1e-9
-    raises NotPSDError.  Positive eigenvalues below the solver's noise floor
-    (1e-13 relative to the largest) are clamped too: the square root would
+    raises NotPSDError.  Positive eigenvalues below 1e-13 relative to the
+    largest are clamped too: the square root would
     otherwise turn O(eps) spectral noise of an exactly singular input into
     O(sqrt(eps)) output noise.
     """

@@ -15,7 +15,6 @@ from coherence_lab.channels import (
     is_incoherent_channel,
     random_incoherent_channel,
     random_incoherent_unitary,
-    realize_unitary,
     unitary_from_dict,
 )
 from coherence_lab.errors import (
@@ -141,11 +140,11 @@ def test_selective_consistent_with_nonselective():
 
 def test_realize_unitary_examples():
     ident = IncoherentUnitary(perm=(0, 1), phases=(0.0, 0.0))
-    np.testing.assert_allclose(realize_unitary(ident), np.eye(2), atol=0)
+    np.testing.assert_allclose(ident.matrix(), np.eye(2), atol=0)
     swap = IncoherentUnitary(perm=(1, 0), phases=(0.0, 0.0))
-    np.testing.assert_allclose(realize_unitary(swap), np.array([[0, 1], [1, 0]]), atol=0)
+    np.testing.assert_allclose(swap.matrix(), np.array([[0, 1], [1, 0]]), atol=0)
     phase = IncoherentUnitary(perm=(0, 1), phases=(0.0, np.pi))
-    np.testing.assert_allclose(realize_unitary(phase), np.diag([1.0, -1.0]), atol=1e-15)
+    np.testing.assert_allclose(phase.matrix(), np.diag([1.0, -1.0]), atol=1e-15)
 
 
 def test_incoherent_unitary_group_structure():

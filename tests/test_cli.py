@@ -181,6 +181,21 @@ def test_unknown_flag_is_exit_2(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+@pytest.mark.parametrize("command", [
+    ["verify", "--measure", "l1", "--criterion", "C2", "--dim", "3", "--trials", "5"],
+    ["hunt", "--dim", "3", "--trials", "5"],
+])
+def test_nonpositive_jobs_is_exit_2(capsys, command, jobs):
+    assert cli.run(command + ["--jobs", jobs]) == 2
+    assert capsys.readouterr().out == ""
+
+
+def test_verify_dim_1_is_exit_2(capsys):
+    assert cli.run(["verify", "--measure", "l1", "--criterion", "C2", "--dim", "1"]) == 2
+    assert "dim must be >= 2" in capsys.readouterr().err
+
+
 def test_unknown_subcommand_is_exit_2(capsys):
     assert cli.run(["frobnicate"]) == 2
     capsys.readouterr()
@@ -217,9 +232,9 @@ def test_emit_report_round_trip():
     report = check_c2("l1", TrialConfig(dim=2, n_trials=10, seed=0))
     from coherence_lab.harness import report_from_dict
 
-    text = cli.emit_report(report, "json")
+    text = cli.emit_reports([report], "json")
     assert report_from_dict(json.loads(text)).to_dict() == report.to_dict()
-    csv_text = cli.emit_report(report, "csv")
+    csv_text = cli.emit_reports([report], "csv")
     header, row = csv_text.strip().splitlines()
     assert header == ",".join(cli.CSV_COLUMNS)
     assert row.split(",")[0] == "C2"

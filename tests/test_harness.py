@@ -18,6 +18,7 @@ from coherence_lab.harness import (
     check_lemma2,
     check_theorem3,
     _panel_deviation,
+    _pool_size,
     _probe_panel,
     reevaluate_witness,
     report_from_dict,
@@ -55,6 +56,19 @@ def test_parallel_runs_match_sequential():
     seq = check_c3("l1", cfg, jobs=1)
     par = check_c3("l1", cfg, jobs=2)
     assert seq.to_dict() == par.to_dict()
+
+
+def test_pool_size_is_capped_by_cpus_and_chunks():
+    assert _pool_size(jobs=1, cpus=8, n_chunks=40) == 1
+    assert _pool_size(jobs=4, cpus=8, n_chunks=40) == 4
+    assert _pool_size(jobs=10**6, cpus=2, n_chunks=40) == 2
+    assert _pool_size(jobs=10**6, cpus=64, n_chunks=3) == 3
+
+
+@pytest.mark.parametrize("jobs", [0, -3])
+def test_nonpositive_jobs_rejected(jobs):
+    with pytest.raises(BadParamsError):
+        check_c2("l1", small_cfg(n=5), jobs=jobs)
 
 
 @pytest.mark.parametrize("name", ["l1", "rel_ent", "trivial"])

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coherence_lab import numerics
 from coherence_lab.errors import NonHermitianError, NonSquareError, NotPSDError
@@ -39,6 +41,37 @@ def test_eigen_reconstruction_and_unitarity(dim):
         v = eig.eigenvectors
         assert numerics.frobenius(v.conj().T @ v - np.eye(dim)) <= 1e-10
         assert np.all(np.diff(eig.eigenvalues) >= -1e-12)
+
+
+def haar_unitary(dim, seed):
+    rng = np.random.default_rng(seed)
+    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    q, r = np.linalg.qr(g)
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+@st.composite
+def degenerate_spectra(draw):
+    """(dim, spectrum) with dim in 1..8; from dim 2 on, some eigenvalue repeats."""
+    dim = draw(st.integers(1, 8))
+    n_levels = max(1, dim - 1)
+    levels = draw(st.lists(st.floats(-10.0, 10.0), min_size=n_levels, max_size=n_levels))
+    picks = draw(st.lists(st.integers(0, len(levels) - 1), min_size=dim, max_size=dim))
+    return dim, np.array([levels[i] for i in picks])
+
+
+@settings(max_examples=200, deadline=None)
+@given(spectrum=degenerate_spectra(), seed=st.integers(0, 10**9))
+def test_eigen_degenerate_spectra(spectrum, seed):
+    dim, w = spectrum
+    u = haar_unitary(dim, seed)
+    a = (u * w) @ u.conj().T
+    eig = numerics.hermitian_eigen(a)
+    scale = max(1.0, numerics.frobenius(a))
+    assert numerics.frobenius(a - eig.reconstruct()) <= 1e-10 * scale
+    v = eig.eigenvectors
+    assert numerics.frobenius(v.conj().T @ v - np.eye(dim)) <= 1e-10
+    assert np.all(np.diff(eig.eigenvalues) >= 0)
 
 
 def test_eigen_rejects_non_square():
