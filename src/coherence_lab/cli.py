@@ -99,6 +99,14 @@ def _csv_row(report: h_mod.CriterionReport) -> str:
     return ",".join(repr(d[c]) if isinstance(d[c], float) else str(d[c]) for c in CSV_COLUMNS)
 
 
+def positive_int(text: str) -> int:
+    """argparse type of ``--jobs``: anything but an integer >= 1 is a usage error (exit 2)."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="coherence-lab",
@@ -128,7 +136,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--trials", type=int, default=None)
     p_verify.add_argument("--seed", type=int, default=None)
     p_verify.add_argument("--tol", type=float, default=None)
-    p_verify.add_argument("--jobs", type=int, default=1)
+    p_verify.add_argument("--jobs", type=positive_int, default=1)
     p_verify.add_argument("--out", default=None)
     p_verify.add_argument("--format", choices=("json", "csv"), default="json")
 
@@ -137,7 +145,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_hunt.add_argument("--trials", type=int, default=100)
     p_hunt.add_argument("--seed", type=int, default=None)
     p_hunt.add_argument("--tol", type=float, default=1e-8)
-    p_hunt.add_argument("--jobs", type=int, default=1)
+    p_hunt.add_argument("--jobs", type=positive_int, default=1)
     p_hunt.add_argument("--out", default=None)
 
     p_mcs = sub.add_parser("mcs", help="maximal-coherence membership and preparation")

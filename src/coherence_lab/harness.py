@@ -13,7 +13,8 @@ Checks
 * ``check_c3``   -- monotonicity on average under subselection.
 * ``check_c4``   -- convexity under mixing.
 * ``check_c5``   -- only the uniform-modulus (maximally coherent) states
-  attain the measure's maximum; located by a restart maximizer.
+  attain the measure's maximum; located by a restart maximizer on the
+  probability simplex.
 * ``check_lemma1`` -- invariance under relabeling-with-phases unitaries.
 * ``check_lemma2`` -- no incoherent channel produces a maximally coherent
   output unless it is a CPO acting on a maximally coherent input.
@@ -371,8 +372,9 @@ def _panel_deviation(channel: KrausChannel, probes) -> float:
     dev = 0.0
     for psi in probes:
         out = apply_channel(channel, from_pure(psi))
-        dev = max(dev, abs(m_mod.c_l1(out) - m_mod.l1_pure(psi)))
-        dev = max(dev, abs(m_mod.c_rel_ent(out) - m_mod.rel_ent_pure(psi)))
+        p = psi.probabilities
+        dev = max(dev, abs(m_mod.c_l1(out) - m_mod.l1_pure(p)))
+        dev = max(dev, abs(m_mod.c_rel_ent(out) - m_mod.rel_ent_pure(p)))
     return dev
 
 
@@ -406,7 +408,7 @@ def _theorem3_trial(measure_name: str, cfg: TrialConfig, trial: int) -> _TrialOu
         witness = ViolationWitness(
             state=from_pure(probe),
             channel=offender,
-            value_before=m_mod.l1_pure(probe),
+            value_before=m_mod.l1_pure(probe.probabilities),
             value_after=m_mod.c_l1(out),
             aux={"panel_deviation": dev, "cpo_deviation": cpo_dev, "measure": "l1"},
         )
@@ -526,23 +528,16 @@ C5_NEAR_MAX_WINDOW = 1e-6
 C5_MCS_TOL = 1e-3
 
 
-def _pure_from_params(w: np.ndarray, theta: np.ndarray) -> PureState:
-    return PureState(np.sqrt(w / w.sum()) * np.exp(1j * theta))
+def _ascend_pure(measure: Measure, w, floor=1e-9, max_rounds=50):
+    """Coordinate ascent of ``measure.evaluate_pure`` on the probability simplex.
 
-
-def _ascend_pure(measure: Measure, w, theta, floor=1e-9, max_rounds=50):
-    """Alternating amplitude/phase coordinate ascent with step halving.
-
-    Amplitude moves transfer probability mass between coordinate pairs, which
-    keeps the weights on the simplex; gradient-free because the l1 value is
-    not smooth where amplitudes vanish.
+    Each move transfers probability mass between a pair of coordinates, which
+    keeps ``w`` on the simplex, with step halving; gradient-free because the
+    l1 value is not smooth where probabilities vanish.  Phases are not
+    searched: a pure-state value depends only on ``p = |psi|^2``.
     """
     dim = w.size
-
-    def value(wv, tv):
-        return measure.evaluate_pure(_pure_from_params(wv, tv))
-
-    val = value(w, theta)
+    val = measure.evaluate_pure(w)
     for _ in range(max_rounds):
         improved = False
         step = 0.25
@@ -558,7 +553,7 @@ def _ascend_pure(measure: Measure, w, theta, floor=1e-9, max_rounds=50):
                     w2 = w.copy()
                     w2[i] -= t
                     w2[j] += t
-                    v2 = value(w2, theta)
+                    v2 = measure.evaluate_pure(w2)
                     if v2 > val + 1e-15:
                         w, val = w2, v2
                         moved = True
@@ -567,33 +562,20 @@ def _ascend_pure(measure: Measure, w, theta, floor=1e-9, max_rounds=50):
             else:
                 step *= 0.5
         w = w / w.sum()
-        val = value(w, theta)
-
-        step = 0.5 * np.pi
-        while step >= floor:
-            moved = False
-            for j in range(1, dim):  # theta[0] is gauge
-                for delta in (step, -step):
-                    t2 = theta.copy()
-                    t2[j] += delta
-                    v2 = value(w, t2)
-                    if v2 > val + 1e-15:
-                        theta, val = t2, v2
-                        moved = True
-            if moved:
-                improved = True
-            else:
-                step *= 0.5
+        val = measure.evaluate_pure(w)
         if not improved:
             break
-    return w, theta, val
+    return w, val
 
 
 def check_c5(measure: str, dim: int, opt: Optional[OptimizerConfig] = None) -> CriterionReport:
     """Maximize the measure over pure states and test that every near-maximal
     state found is maximally coherent.
 
-    Near-maximal means within 1e-6 of the best value; membership is tested at
+    The search runs on the probability simplex through ``evaluate_pure``,
+    one ascent per restart from a Dirichlet-random point, and each point
+    found stands for the real-amplitude state ``sqrt(p)``.  Near-maximal
+    means within 1e-6 of the best value; membership is tested at
     tolerance 1e-3.  A FAIL report (violations > 0) carries a witness state
     attaining the maximum while not being maximally coherent, which is what
     the 0/1 ``trivial`` measure produces.  For ``int_rand`` the verdict is
@@ -607,10 +589,8 @@ def check_c5(measure: str, dim: int, opt: Optional[OptimizerConfig] = None) -> C
     rng = np.random.default_rng([opt.seed, 424243])
     candidates = []
     for _ in range(max(1, opt.restarts)):
-        w = rng.dirichlet(np.ones(dim))
-        theta = np.concatenate(([0.0], rng.uniform(0.0, 2.0 * np.pi, dim - 1)))
-        w, theta, val = _ascend_pure(m, w, theta)
-        candidates.append((val, _pure_from_params(w, theta)))
+        w, val = _ascend_pure(m, rng.dirichlet(np.ones(dim)))
+        candidates.append((val, PureState(np.sqrt(w))))
 
     best_val = max(val for val, _ in candidates)
     slacks = []
@@ -681,8 +661,8 @@ def skew_violation_witness(dim: int) -> ViolationWitness:
     shifted_amp[[(j + 1) % dim for j in range(dim)]] = base.amplitudes
     shifted = PureState(shifted_amp)
 
-    v_base = m_mod.c_skew_pure(base, k)
-    v_shifted = m_mod.c_skew_pure(shifted, k)
+    v_base = m_mod.c_skew_pure(base.probabilities, k)
+    v_shifted = m_mod.c_skew_pure(shifted.probabilities, k)
     if v_shifted > v_base:
         state, channel, before, after = base, shift, v_base, v_shifted
     else:

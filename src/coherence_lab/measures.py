@@ -112,9 +112,9 @@ def c_l1(rho: DensityMatrix) -> float:
     return off_diagonal_mass(rho)
 
 
-def l1_pure(psi: PureState) -> float:
-    a = np.abs(psi.amplitudes)
-    return float(a.sum() ** 2 - (a**2).sum())
+def l1_pure(p: np.ndarray) -> float:
+    """l1 of the pure state with basis probabilities p: (sum_i sqrt(p_i))^2 - sum_i p_i."""
+    return float(np.sqrt(p).sum() ** 2 - p.sum())
 
 
 def c_rel_ent(rho: DensityMatrix) -> float:
@@ -122,8 +122,9 @@ def c_rel_ent(rho: DensityMatrix) -> float:
     return shannon_entropy(rho.diagonal) - shannon_entropy(rho.eigen.eigenvalues)
 
 
-def rel_ent_pure(psi: PureState) -> float:
-    return shannon_entropy(np.abs(psi.amplitudes) ** 2)
+def rel_ent_pure(p: np.ndarray) -> float:
+    """rel_ent of the pure state with basis probabilities p: their Shannon entropy."""
+    return shannon_entropy(p)
 
 
 def c_trivial(rho: DensityMatrix) -> float:
@@ -131,8 +132,8 @@ def c_trivial(rho: DensityMatrix) -> float:
     return 0.0 if is_incoherent(rho, states.INCOHERENCE_TOL) else 1.0
 
 
-def trivial_pure(psi: PureState) -> float:
-    return 0.0 if l1_pure(psi) <= states.INCOHERENCE_TOL else 1.0
+def trivial_pure(p: np.ndarray) -> float:
+    return 0.0 if l1_pure(p) <= states.INCOHERENCE_TOL else 1.0
 
 
 def c_skew(rho: DensityMatrix, k: DiagonalObservable) -> float:
@@ -146,13 +147,12 @@ def c_skew(rho: DensityMatrix, k: DiagonalObservable) -> float:
     return direct - crossed
 
 
-def c_skew_pure(psi: PureState, k: DiagonalObservable) -> float:
-    """Closed form on pure states: 1/2 sum_{i != j} w_i w_j (k_i - k_j)^2 with w = |<i|psi>|^2."""
-    if k.dim != psi.dim:
-        raise DimMismatchError(f"observable dim {k.dim} != state dim {psi.dim}")
-    w = np.abs(psi.amplitudes) ** 2
+def c_skew_pure(p: np.ndarray, k: DiagonalObservable) -> float:
+    """Closed form on pure states: 1/2 sum_{i != j} p_i p_j (k_i - k_j)^2 with p = |<i|psi>|^2."""
+    if k.dim != p.size:
+        raise DimMismatchError(f"observable dim {k.dim} != state dim {p.size}")
     diff = k.values[:, None] - k.values[None, :]
-    return float(0.5 * (w @ (diff**2) @ w))
+    return float(0.5 * (p @ (diff**2) @ p))
 
 
 # ---------------------------------------------------------------------------
@@ -316,11 +316,13 @@ def c_int_rand(rho: DensityMatrix, opt: Optional[OptimizerConfig] = None) -> flo
 
 @dataclasses.dataclass(frozen=True)
 class Measure:
-    """Named evaluator; evaluate_pure is the fast path used by optimizers."""
+    """Named evaluator: ``evaluate`` takes a density matrix, ``evaluate_pure`` the
+    basis probabilities ``p = |psi|^2`` of a pure state (``PureState.probabilities``),
+    all a pure-state value depends on by invariance under relabelings with phases."""
 
     name: str
     evaluate: Callable[[DensityMatrix], float]
-    evaluate_pure: Callable[[PureState], float]
+    evaluate_pure: Callable[[np.ndarray], float]
 
 
 MEASURE_NAMES = ("l1", "rel_ent", "int_rand", "skew", "trivial")
@@ -357,6 +359,6 @@ def measure_by_name(
         return Measure(
             "skew",
             lambda rho: c_skew(rho, observable),
-            lambda psi: c_skew_pure(psi, observable),
+            lambda p: c_skew_pure(p, observable),
         )
     raise BadParamsError(f"unknown measure {name!r}; choose from {MEASURE_NAMES}")

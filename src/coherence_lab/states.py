@@ -43,6 +43,11 @@ class PureState:
     def dim(self) -> int:
         return self.amplitudes.shape[0]
 
+    @property
+    def probabilities(self) -> np.ndarray:
+        """Basis probabilities p_i = |amplitudes[i]|^2, the input of the ``*_pure`` measures."""
+        return np.abs(self.amplitudes) ** 2
+
     def overlap(self, other: "PureState") -> complex:
         """Inner product <self|other>."""
         return complex(np.vdot(self.amplitudes, other.amplitudes))

@@ -162,7 +162,7 @@ def test_10_intrinsic_randomness_consistency():
         eig = rho.eigen
         keep = eig.eigenvalues > 1e-12
         average = sum(
-            q * rel_ent_pure(PureState(eig.eigenvectors[:, k] / np.linalg.norm(eig.eigenvectors[:, k])))
+            q * rel_ent_pure(PureState(eig.eigenvectors[:, k] / np.linalg.norm(eig.eigenvectors[:, k])).probabilities)
             for q, k in zip(eig.eigenvalues[keep], np.nonzero(keep)[0])
         )
         value, ensemble = convex_roof_ensemble(rho, opt)

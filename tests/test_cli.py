@@ -185,6 +185,7 @@ def test_unknown_flag_is_exit_2(capsys):
 @pytest.mark.parametrize("command", [
     ["verify", "--measure", "l1", "--criterion", "C2", "--dim", "3", "--trials", "5"],
     ["hunt", "--dim", "3", "--trials", "5"],
+    ["verify", "--measure", "l1", "--criterion", "C5", "--dim", "2", "--trials", "2"],
 ])
 def test_nonpositive_jobs_is_exit_2(capsys, command, jobs):
     assert cli.run(command + ["--jobs", jobs]) == 2

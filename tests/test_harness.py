@@ -26,6 +26,7 @@ from coherence_lab.harness import (
     skew_witness_report,
 )
 from coherence_lab.mcs import is_mcs, mcs_deviation
+from coherence_lab.measures import MEASURE_NAMES, OptimizerConfig
 from coherence_lab.states import DensityMatrix, from_pure
 
 
@@ -165,6 +166,27 @@ def test_c5_trivial_fails_with_coherent_non_mcs_witness():
     assert w.value_before == 1.0  # attains the maximal value
     assert not is_mcs(w.state, 1e-3)
     assert w.state.matrix[np.abs(w.state.matrix) > 1e-9].size > 3  # coherent
+
+
+# Pure-state maxima: l1 d-1 and rel_ent log2 d at the uniform-modulus states;
+# skew (d-1)^2/4 at p = (1/2, 0, ..., 0, 1/2), which is maximally coherent only
+# at d = 2; trivial 1 on every coherent state.
+C5_MAXIMA = {
+    "l1": lambda d: d - 1,
+    "rel_ent": np.log2,
+    "int_rand": np.log2,
+    "skew": lambda d: (d - 1) ** 2 / 4,
+    "trivial": lambda d: 1.0,
+}
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4])
+@pytest.mark.parametrize("measure", MEASURE_NAMES)
+def test_c5_closed_form_maxima(measure, dim):
+    report = check_c5(measure, dim, OptimizerConfig(restarts=8, seed=dim))
+    assert abs(report.max_value - C5_MAXIMA[measure](dim)) <= 1e-6
+    fails = measure == "trivial" or (measure == "skew" and dim >= 3)
+    assert (report.violations > 0) == fails
 
 
 def test_c5_rejects_bad_dim():

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from coherence_lab.channels import random_incoherent_unitary
 from coherence_lab.errors import BadParamsError, DimMismatchError
@@ -125,7 +127,7 @@ def test_skew_plus_state_quarter_gap_squared():
     k = DiagonalObservable([0.5, 3.5])
     # single pair: w0*w1*(k0-k1)^2 = (1/4)*9
     assert c_skew(from_pure(plus), k) == pytest.approx((0.5 - 3.5) ** 2 / 4, abs=1e-10)
-    assert c_skew_pure(plus, k) == pytest.approx(2.25, abs=1e-12)
+    assert c_skew_pure(plus.probabilities, k) == pytest.approx(2.25, abs=1e-12)
 
 
 def test_skew_hand_value_5_9():
@@ -133,17 +135,17 @@ def test_skew_hand_value_5_9():
     k = default_observable(3)
     # pairs: (0,1) 1/2*1/3*1 + (0,2) 1/2*1/6*4 + (1,2) 1/3*1/6*1 = 5/9
     assert c_skew(from_pure(psi), k) == pytest.approx(5 / 9, abs=1e-10)
-    assert c_skew_pure(psi, k) == pytest.approx(5 / 9, abs=1e-15)
+    assert c_skew_pure(psi.probabilities, k) == pytest.approx(5 / 9, abs=1e-15)
 
 
 def test_skew_pure_hand_value_17_36():
     psi = state_from_weights([1 / 6, 1 / 2, 1 / 3])
     # pairs: 1/6*1/2*1 + 1/6*1/3*4 + 1/2*1/3*1 = 17/36
-    assert c_skew_pure(psi, default_observable(3)) == pytest.approx(17 / 36, abs=1e-15)
+    assert c_skew_pure(psi.probabilities, default_observable(3)) == pytest.approx(17 / 36, abs=1e-15)
 
 
 def test_skew_pure_basis_state_zero():
-    assert c_skew_pure(basis_state(3, 0), default_observable(3)) == 0.0
+    assert c_skew_pure(basis_state(3, 0).probabilities, default_observable(3)) == 0.0
 
 
 @pytest.mark.parametrize("dim", [2, 3, 4])
@@ -151,7 +153,7 @@ def test_skew_matches_pure_formula(dim):
     k = default_observable(dim)
     for i in range(1000):
         psi = random_pure(dim, [60, dim, i])
-        assert abs(c_skew(from_pure(psi), k) - c_skew_pure(psi, k)) <= 1e-9
+        assert abs(c_skew(from_pure(psi), k) - c_skew_pure(psi.probabilities, k)) <= 1e-9
 
 
 def test_skew_dim_mismatch():
@@ -196,7 +198,7 @@ def test_int_rand_never_exceeds_eigendecomposition_average():
         eig = rho.eigen
         keep = eig.eigenvalues > 1e-12
         avg = sum(
-            q * rel_ent_pure(PureState(eig.eigenvectors[:, k] / np.linalg.norm(eig.eigenvectors[:, k])))
+            q * rel_ent_pure(PureState(eig.eigenvectors[:, k] / np.linalg.norm(eig.eigenvectors[:, k])).probabilities)
             for q, k in zip(eig.eigenvalues[keep], np.nonzero(keep)[0])
         )
         assert c_int_rand(rho, opt) <= avg + 1e-9
@@ -265,18 +267,31 @@ def test_int_rand_invariant_on_pure_inputs():
         assert abs(m.evaluate(u.conjugate(rho)) - m.evaluate(rho)) <= 1e-9
 
 
+@st.composite
+def phased_simplex_points(draw):
+    """A point p of the probability simplex in d = 2..6, and one phase per basis state."""
+    dim = draw(st.integers(2, 6))
+    w = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=dim, max_size=dim)))
+    assume(w.sum() > 0.0)
+    theta = np.array(draw(st.lists(st.floats(0.0, 2.0 * np.pi), min_size=dim, max_size=dim)))
+    return w / w.sum(), theta
+
+
 @pytest.mark.parametrize("name", VALID_MEASURES + ("skew", "int_rand"))
-def test_pure_fast_path_matches_density_path(name, dim=3):
-    m = measure_by_name(name, dim=dim)
-    for i in range(30):
-        psi = random_pure(dim, [86, i])
-        assert abs(m.evaluate_pure(psi) - m.evaluate(from_pure(psi))) <= 1e-9
+@settings(max_examples=100, deadline=None)
+@given(point=phased_simplex_points())
+def test_pure_fast_path_matches_density_path(name, point):
+    # a pure-state value depends on p = |psi|^2 only, whatever the phases
+    p, theta = point
+    m = measure_by_name(name, dim=p.size)
+    psi = PureState(np.sqrt(p) * np.exp(1j * theta))
+    assert abs(m.evaluate(from_pure(psi)) - m.evaluate_pure(p)) <= 1e-9
 
 
 def test_l1_pure_identity():
     psi = random_pure(4, 1)
     a = np.abs(psi.amplitudes)
-    assert l1_pure(psi) == pytest.approx(a.sum() ** 2 - 1.0, abs=1e-12)
+    assert l1_pure(psi.probabilities) == pytest.approx(a.sum() ** 2 - 1.0, abs=1e-12)
 
 
 def test_measure_by_name_rejects_unknown():
