@@ -15,6 +15,7 @@ import numpy as np
 
 from . import numerics
 from .errors import (
+    BadDimError,
     BadParamsError,
     DimMismatchError,
     IncompleteChannelError,
@@ -298,6 +299,8 @@ def channel_from_dict(payload: dict) -> KrausChannel:
         raw_ops = payload["kraus"]
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed channel payload: {exc}") from exc
+    if dim > numerics.MAX_DIM:
+        raise BadDimError(f"dim {dim} exceeds the supported maximum {numerics.MAX_DIM}")
     ops = []
     for entry in raw_ops:
         re = np.asarray(entry["re"], dtype=np.float64)

@@ -24,7 +24,6 @@ floor inside logs.
 from __future__ import annotations
 
 import dataclasses
-import math
 from typing import Callable, Optional
 
 import numpy as np
@@ -77,6 +76,10 @@ class OptimizerConfig:
     max_iterations: int = 500
     step_tol: float = 1e-8
     seed: int = 0
+
+    def __post_init__(self):
+        if self.restarts < 0 or self.max_iterations < 1 or not self.step_tol > 0:
+            raise BadParamsError(f"need restarts >= 0, max_iterations >= 1, step_tol > 0: {self}")
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
@@ -160,94 +163,77 @@ def c_skew_pure(p: np.ndarray, k: DiagonalObservable) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _pure_branch(rho: DensityMatrix) -> bool:
-    return rho.purity >= 1.0 - 1e-10
+# The four trial rotations of a row pair, in the order they are tried:
+# phi = 0 with t = +step, -step, then phi = pi/2 with t = +step, -step.
+_TRIAL_SIGNS = np.array([1.0, -1.0, 1.0, -1.0])
+_TRIAL_PHASES = np.exp(1j * np.array([0.0, 0.0, 0.5 * np.pi, 0.5 * np.pi]))
 
 
-_LN2 = np.log(2.0)
+def _member_values(members: np.ndarray) -> np.ndarray:
+    """Probability-weighted pure-state values of unnormalized members (last axis)."""
+    a = members.real**2 + members.imag**2
+    p = np.add.reduce(a, axis=-1)
+    # 0 log 0 = 0: entries at or below _LOG_FLOOR take log2(1) = 0
+    xlogx = a * np.log2(np.where(a > _LOG_FLOOR, a, 1.0))
+    return p * np.log2(np.where(p > _LOG_FLOOR, p, 1.0)) - np.add.reduce(xlogx, axis=-1)
 
 
-def _member_contrib(col: np.ndarray) -> float:
-    """Probability-weighted pure-state value of one unnormalized member."""
-    # scalar loop: members are tiny (d <= ~8) and this sits in the hot path
-    p = 0.0
-    acc = 0.0
-    for z in col:
-        a = z.real * z.real + z.imag * z.imag
-        if a > _LOG_FLOOR:
-            p += a
-            acc += a * math.log(a)
-        else:
-            p += a
-    if p <= _LOG_FLOOR:
-        return 0.0
-    return (p * math.log(p) - acc) / _LN2
+def _refine_mixer(ws: np.ndarray, b: np.ndarray, cfg: OptimizerConfig, floor: float):
+    """Coordinate descent over row-pair rotations of a stack of isometries (R, m, r).
 
-
-def _ensemble_objective(members: np.ndarray) -> float:
-    """Ensemble-averaged pure-state value for unnormalized member columns."""
-    return float(sum(_member_contrib(members[:, i]) for i in range(members.shape[1])))
-
-
-def _pair_rotation(t: float, phi: float):
-    """Cayley image of the antisymmetric generator t e^{i phi} on a row pair."""
-    a = t * complex(math.cos(phi), math.sin(phi))
-    denom = 1.0 + t * t
-    c = (1.0 - t * t) / denom
-    s = 2.0 * a / denom
-    return c, -s, s.conjugate(), c  # row-major 2x2
-
-
-def _refine_mixer(w: np.ndarray, b: np.ndarray, cfg: OptimizerConfig, floor: float):
-    """Coordinate descent over row-pair rotations of the mixing isometry.
-
-    A rotation touches only two rows of the isometry, hence two ensemble
-    members, so acceptance tests are incremental: the full objective is never
-    recomputed inside the loop.  ``floor`` is the smallest step tried; the
-    restart phase uses a coarse floor and only the best candidate is polished
-    down to cfg.step_tol.
+    Each isometry follows the trajectory it would follow alone: its own step,
+    halved after three passes or a pass without gain, and its own exit below
+    ``floor``, after cfg.max_iterations passes or at _RANK_TOL.  A rotation
+    touches two rows, hence two ensemble members, so acceptance tests are
+    incremental.  Per row pair, the four trial rotations of every isometry
+    are scored in one array evaluation, and those after an accepted one are
+    scored again from the new point.  Returns the isometries and their values.
     """
-    m = w.shape[0]
-    w = w.copy()
-    members = b @ w.T  # d x m; column i is the unnormalized member i
-    contribs = [_member_contrib(members[:, i]) for i in range(m)]
+    n, m, _ = ws.shape
+    d = b.shape[0]
+    # row i of x[k] is member i of isometry k (d amplitudes) followed by row i
+    # of the isometry itself: a rotation of the pair mixes both alike
+    x = np.concatenate((ws @ b.T, ws), axis=2)
+    values = _member_values(x[:, :, :d])
     pairs = [(i, j) for i in range(m) for j in range(i + 1, m)]
-    passes = 0
-    step = 0.5
-    while step >= floor and passes < cfg.max_iterations:
-        for _ in range(3):  # passes per step; improvements shrink with step^2
-            improving = False
-            passes += 1
-            for i, j in pairs:
-                base = contribs[i] + contribs[j]
-                if base <= 1e-14:  # both members already incoherent
-                    continue
-                col_i = members[:, i]
-                col_j = members[:, j]
-                for phi in (0.0, 0.5 * np.pi):
-                    for t in (step, -step):
-                        r00, r01, r10, r11 = _pair_rotation(t, phi)
-                        new_i = r00 * col_i + r01 * col_j
-                        new_j = r10 * col_i + r11 * col_j
-                        gain = base - _member_contrib(new_i) - _member_contrib(new_j)
-                        if gain > 1e-14:
-                            members[:, i] = new_i
-                            members[:, j] = new_j
-                            col_i = new_i
-                            col_j = new_j
-                            row_i = w[i, :].copy()
-                            w[i, :] = r00 * row_i + r01 * w[j, :]
-                            w[j, :] = r10 * row_i + r11 * w[j, :]
-                            contribs[i] = _member_contrib(new_i)
-                            contribs[j] = _member_contrib(new_j)
-                            base = contribs[i] + contribs[j]
-                            improving = True
-            if sum(contribs) <= _RANK_TOL:
-                return w, float(sum(contribs))
-            if not improving or passes >= cfg.max_iterations:
-                break
-        step *= 0.5
-    return w, float(sum(contribs))
+    rows = np.arange(n)
+    step = np.full(n, 0.5)
+    passes = np.zeros(n, dtype=int)
+    at_step = np.zeros(n, dtype=int)  # passes made at the current step
+    active = np.full(n, 0.5 >= floor)
+    while active.any():
+        t = step[:, None] * _TRIAL_SIGNS
+        c = (1.0 - t * t) / (1.0 + t * t)
+        s = 2.0 * t * _TRIAL_PHASES / (1.0 + t * t)
+        # (n, 4, 2, 2, 1): the Cayley rotation [[c, -s], [conj(s), c]] of each trial
+        rot = np.stack((np.stack((c, -s), -1), np.stack((s.conj(), c), -1)), -2)[..., None]
+        improving = np.zeros(n, dtype=bool)
+        for i, j in pairs:
+            base = values[:, i] + values[:, j]
+            # first trial still to score; 4 = none (inactive, or both members incoherent)
+            first = np.where(active & (base > 1e-14), 0, 4)
+            while np.count_nonzero(first < 4):
+                trial = np.add.reduce(rot * x[:, None, None, (i, j)], axis=3)  # (n, 4, 2, d + r)
+                trial_values = _member_values(trial[..., :d])
+                gain = base[:, None] - trial_values[..., 0] - trial_values[..., 1]
+                ok = (gain > 1e-14) & (np.arange(4) >= first[:, None])
+                f = ok.argmax(axis=1)  # the first accepted trial, where ok has one
+                hit = ok[rows, f]
+                first = np.where(hit, f + 1, 4)
+                if np.count_nonzero(hit):
+                    k, f = rows[hit], f[hit]
+                    x[k[:, None], (i, j)] = trial[k, f]
+                    values[k[:, None], (i, j)] = trial_values[k, f]
+                    base = values[:, i] + values[:, j]
+                    improving |= hit
+        passes += active
+        at_step += active
+        done = values.sum(axis=1) <= _RANK_TOL
+        halve = active & ~done & (~improving | (passes >= cfg.max_iterations) | (at_step == 3))
+        step = np.where(halve, 0.5 * step, step)
+        at_step[halve] = 0
+        active &= ~done & (~halve | ((step >= floor) & (passes < cfg.max_iterations)))
+    return x[:, :, d:], values.sum(axis=1)
 
 
 def convex_roof_ensemble(
@@ -258,7 +244,8 @@ def convex_roof_ensemble(
     Ensembles are generated from the eigendecomposition mixed through an
     m x r isometry with m = d^2 members; the eigenensemble itself is always
     among the candidates, so the result never exceeds the eigendecomposition
-    average.  The value is an upper bound on the exact convex roof.
+    average.  The value is an upper bound on the exact convex roof.  The
+    random restarts are refined together, as one stack.
     """
     opt = opt or OptimizerConfig()
     eig = rho.eigen
@@ -273,19 +260,20 @@ def convex_roof_ensemble(
     m = rho.dim * rho.dim
     coarse = max(1e-3, opt.step_tol)
 
-    best_w, best_val = _refine_mixer(np.eye(r, dtype=np.complex128), b, opt, coarse)
+    (best_w,), (best_val,) = _refine_mixer(np.eye(r, dtype=np.complex128)[None], b, opt, coarse)
 
-    for _ in range(opt.restarts):
-        if best_val <= _RANK_TOL:
-            break
-        g = rng.standard_normal((m, r)) + 1j * rng.standard_normal((m, r))
-        w, _ = np.linalg.qr(g)
-        w, val = _refine_mixer(w, b, opt, coarse)
-        if val < best_val:
-            best_val, best_w = val, w
+    if best_val > _RANK_TOL:
+        # per restart: real part, then imaginary part, of an m x r Gaussian
+        g = rng.standard_normal((opt.restarts, 2, m, r))
+        ws, values = _refine_mixer(np.linalg.qr(g[:, 0] + 1j * g[:, 1])[0], b, opt, coarse)
+        for w, val in zip(ws, values):
+            if best_val <= _RANK_TOL:
+                break
+            if val < best_val:
+                best_val, best_w = val, w
 
     if best_val > _RANK_TOL:  # polish the winner down to the fine step floor
-        best_w, best_val = _refine_mixer(best_w, b, opt, opt.step_tol)
+        (best_w,), (best_val,) = _refine_mixer(best_w[None], b, opt, opt.step_tol)
 
     members = b @ best_w.T
     probs = (np.abs(members) ** 2).sum(axis=0)
@@ -298,12 +286,12 @@ def convex_roof_ensemble(
     defect = numerics.frobenius(ensemble.reconstruction() - rho.matrix)
     if defect > 1e-9:
         raise OptimizerFailedError(f"ensemble reconstructs rho to {defect:.3e} > 1e-9")
-    return best_val, ensemble
+    return float(best_val), ensemble
 
 
 def c_int_rand(rho: DensityMatrix, opt: Optional[OptimizerConfig] = None) -> float:
     """Intrinsic randomness: rel_ent on pure states, convex-roof estimate otherwise."""
-    if _pure_branch(rho):
+    if rho.purity >= 1.0 - 1e-10:
         return c_rel_ent(rho)
     value, _ = convex_roof_ensemble(rho, opt)
     return value

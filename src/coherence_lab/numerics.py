@@ -1,4 +1,4 @@
-"""Dense complex linear algebra for small matrices (dimension 2 to ~16).
+"""Dense complex linear algebra for small matrices (dimension 2 to MAX_DIM = 16).
 
 Matrices are plain ``numpy.ndarray`` of complex128 in row-major order.
 Every spectral computation in the package goes through
@@ -12,6 +12,9 @@ import dataclasses
 import numpy as np
 
 from .errors import NonHermitianError, NonSquareError, NotPSDError
+
+# Largest dimension a state or channel file may declare.
+MAX_DIM = 16
 
 # Eigenvalues in [-PSD_FLOOR, 0) are clamped to zero; anything lower is an error.
 PSD_FLOOR = 1e-9

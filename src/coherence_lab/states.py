@@ -203,6 +203,8 @@ def state_from_dict(payload: dict):
         im = np.asarray(payload["im"], dtype=np.float64).reshape(-1)
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed state payload: {exc}") from exc
+    if dim > numerics.MAX_DIM:
+        raise BadDimError(f"dim {dim} exceeds the supported maximum {numerics.MAX_DIM}")
     if re.size != im.size:
         raise ValueError(f"re/im length mismatch: {re.size} vs {im.size}")
     data = re + 1j * im

@@ -18,6 +18,7 @@ from coherence_lab.channels import (
     unitary_from_dict,
 )
 from coherence_lab.errors import (
+    BadDimError,
     BadParamsError,
     DimMismatchError,
     IncompleteChannelError,
@@ -233,6 +234,15 @@ def test_incoherent_channels_preserve_incoherence():
         assert is_incoherent(apply_channel(ch, diag), 1e-9)
         for _, branch in apply_selective(ch, diag):
             assert is_incoherent(branch, 1e-9)
+
+
+def test_channel_from_dict_caps_dim_at_16():
+    def identity(dim):
+        return {"dim": dim, "kraus": [{"re": np.eye(dim).ravel().tolist(), "im": [0.0] * dim**2}]}
+
+    assert channel_from_dict(identity(16)).dim == 16
+    with pytest.raises(BadDimError):
+        channel_from_dict(identity(17))
 
 
 def test_channel_json_round_trip():

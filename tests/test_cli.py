@@ -221,6 +221,17 @@ def test_invalid_state_payload_is_exit_3(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_dim_above_16_is_exit_3(tmp_path, capsys):
+    state = tmp_path / "psi17.json"
+    state.write_text(json.dumps(uniform_superposition(17).to_dict()))
+    channel = tmp_path / "id17.json"
+    identity = {"re": np.eye(17).ravel().tolist(), "im": [0.0] * 289}
+    channel.write_text(json.dumps({"dim": 17, "kraus": [identity]}))
+    assert cli.run(["measure", "--state", str(state), "--measure", "int_rand"]) == 3
+    assert cli.run(["check-channel", "--channel", str(channel)]) == 3
+    assert capsys.readouterr().out == ""
+
+
 def test_out_file_writing(tmp_path, psi3_file):
     out = tmp_path / "result.json"
     code = cli.run(["measure", "--state", psi3_file, "--measure", "l1", "--out", str(out)])

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from coherence_lab import measures
 from coherence_lab.channels import random_incoherent_unitary
 from coherence_lab.errors import BadParamsError, DimMismatchError
 from coherence_lab.measures import (
@@ -223,6 +224,107 @@ def test_convex_roof_beats_eigenbasis_when_phases_help():
         + 0.5 * np.outer(minus.amplitudes, minus.amplitudes.conj())
     )
     assert c_int_rand(rho, OptimizerConfig(restarts=4, seed=0)) <= 1e-9
+
+
+# c_int_rand values of the optimizer that refined one isometry at a time with
+# scalar member values, on random_density(d, d, seed) with optimizer seed 5.
+ROOF_PINS = {2: [95, 2, 0], 3: [95, 3, 1], 4: [95, 4, 1]}
+
+
+@pytest.mark.parametrize(
+    "dim, opt_kwargs, expected",
+    [
+        (2, {}, 0.43459260971898417),
+        (2, {"restarts": 0}, 0.43459260971898417),
+        (2, {"max_iterations": 1}, 0.45006735738746434),
+        (3, {}, 0.5873379520705079),
+        (3, {"restarts": 0}, 0.5875939371186053),
+        (3, {"max_iterations": 1}, 0.6429815597743573),
+        (4, {}, 1.3305669456004123),
+        (4, {"restarts": 0}, 1.3306922195276483),
+        (4, {"max_iterations": 1}, 1.375180198630447),
+    ],
+)
+def test_int_rand_trajectory_pinned(dim, opt_kwargs, expected):
+    rho = random_density(dim, dim, ROOF_PINS[dim])
+    assert abs(c_int_rand(rho, OptimizerConfig(seed=5, **opt_kwargs)) - expected) <= 1e-12
+
+
+def _scalar_refine(w, b, max_iterations, floor):
+    """Reference: the coordinate descent on one isometry, one trial rotation at a time."""
+
+    def contrib(col):
+        a = np.abs(col) ** 2
+        p, big = a.sum(), a[a > 1e-15]
+        return 0.0 if p <= 1e-15 else p * np.log2(p) - (big * np.log2(big)).sum()
+
+    w, members = w.copy(), b @ w.T
+    contribs = [contrib(members[:, i]) for i in range(w.shape[0])]
+    passes, step = 0, 0.5
+    while step >= floor and passes < max_iterations:
+        for _ in range(3):
+            improving, passes = False, passes + 1
+            for i in range(w.shape[0]):
+                for j in range(i + 1, w.shape[0]):
+                    if contribs[i] + contribs[j] <= 1e-14:
+                        continue
+                    for phi in (0.0, 0.5 * np.pi):
+                        for t in (step, -step):
+                            c, s = (1 - t * t) / (1 + t * t), 2 * t * np.exp(1j * phi) / (1 + t * t)
+                            rot = np.array([[c, -s], [np.conj(s), c]])
+                            new = rot @ members[:, [i, j]].T
+                            gain = contribs[i] + contribs[j] - contrib(new[0]) - contrib(new[1])
+                            if gain > 1e-14:
+                                members[:, [i, j]] = new.T
+                                w[[i, j]] = rot @ w[[i, j]]
+                                contribs[i], contribs[j] = contrib(new[0]), contrib(new[1])
+                                improving = True
+            if sum(contribs) <= 1e-12:
+                return w, sum(contribs)
+            if not improving or passes >= max_iterations:
+                break
+        step *= 0.5
+    return w, sum(contribs)
+
+
+@pytest.mark.parametrize("dim, rank, max_iterations", [(2, 2, 500), (3, 2, 500), (3, 3, 4)])
+def test_refine_stack_matches_one_at_a_time(dim, rank, max_iterations):
+    rho = random_density(dim, rank, [99, dim, rank])
+    q, v = np.linalg.eigh(rho.matrix)
+    b = v[:, -rank:] * np.sqrt(q[-rank:])
+    rng = np.random.default_rng(dim)
+    g = rng.standard_normal((3, dim * dim, rank)) + 1j * rng.standard_normal((3, dim * dim, rank))
+    ws = np.linalg.qr(g)[0]
+    cfg = OptimizerConfig(max_iterations=max_iterations)
+    got_ws, got_values = measures._refine_mixer(ws, b, cfg, 1e-3)
+    for w, got_w, got_value in zip(ws, got_ws, got_values):
+        want_w, want_value = _scalar_refine(w, b, max_iterations, 1e-3)
+        assert abs(got_value - want_value) <= 1e-12
+        assert np.max(np.abs(got_w - want_w)) <= 1e-10
+
+
+def test_int_rand_qubit_closed_form():
+    # Yuan, Zhou, Cao & Ma, PRA 92, 022124 (2015): h((1 + sqrt(1 - 4|rho_01|^2)) / 2)
+    for seed in range(20):
+        rho = random_density(2, 2, [98, seed])
+        lam = (1.0 + np.sqrt(1.0 - 4.0 * abs(rho.matrix[0, 1]) ** 2)) / 2.0
+        closed = shannon_entropy([lam, 1.0 - lam])
+        assert closed - 1e-9 <= c_int_rand(rho, OptimizerConfig(seed=seed)) <= closed + 1e-6
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"restarts": -1},
+        {"max_iterations": 0},
+        {"step_tol": 0.0},
+        {"step_tol": -1e-8},
+        {"step_tol": float("nan")},
+    ],
+)
+def test_optimizer_config_rejects_bad_values(kwargs):
+    with pytest.raises(BadParamsError):
+        OptimizerConfig(**kwargs)
 
 
 # ---------------------------------------------------------------------------

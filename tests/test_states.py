@@ -140,6 +140,21 @@ def test_state_from_dict_rejects_garbage():
         state_from_dict({"dim": 2, "kind": "other", "re": [1, 0], "im": [0, 0]})
 
 
+def test_state_from_dict_caps_dim_at_16():
+    def payloads(dim):
+        mixed = (np.eye(dim) / dim).ravel().tolist()
+        return (
+            {"dim": dim, "kind": "pure", "re": [dim**-0.5] * dim, "im": [0.0] * dim},
+            {"dim": dim, "kind": "density", "re": mixed, "im": [0.0] * dim**2},
+        )
+
+    for payload in payloads(16):
+        assert state_from_dict(payload).dim == 16
+    for payload in payloads(17):
+        with pytest.raises(BadDimError):
+            state_from_dict(payload)
+
+
 def test_fidelity_pure():
     psi = random_pure(4, 2)
     assert abs(fidelity_pure(from_pure(psi), psi) - 1.0) <= 1e-12
