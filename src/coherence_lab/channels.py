@@ -15,7 +15,6 @@ import numpy as np
 
 from . import numerics
 from .errors import (
-    BadDimError,
     BadParamsError,
     DimMismatchError,
     IncompleteChannelError,
@@ -69,10 +68,6 @@ class KrausChannel:
                 for k in self.kraus
             ],
         }
-
-
-def identity_channel(dim: int) -> KrausChannel:
-    return KrausChannel((np.eye(dim, dtype=np.complex128),))
 
 
 def is_incoherent_channel(ch: KrausChannel, tol: float = INCOHERENT_ENTRY_TOL) -> bool:
@@ -249,13 +244,6 @@ def is_cpo(ch: KrausChannel, tol: float = 1e-8) -> bool:
     return bool(w[-2] <= tol * w[-1])
 
 
-def compose(a: KrausChannel, b: KrausChannel) -> KrausChannel:
-    """Channel doing b first, then a; Kraus set {A_m B_n}."""
-    if a.dim != b.dim:
-        raise DimMismatchError(f"cannot compose dims {a.dim} and {b.dim}")
-    return KrausChannel(tuple(am @ bn for am in a.kraus for bn in b.kraus))
-
-
 def random_incoherent_unitary(dim: int, seed) -> IncoherentUnitary:
     """Uniformly random relabeling with uniform phases."""
     if dim < 2:
@@ -295,12 +283,10 @@ def random_incoherent_channel(dim: int, n_kraus: int, seed) -> KrausChannel:
 def channel_from_dict(payload: dict) -> KrausChannel:
     """Parse ``{"dim": d, "kraus": [{"re": [...], "im": [...]}, ...]}`` (row-major)."""
     try:
-        dim = int(payload["dim"])
+        dim = numerics.file_dim(payload["dim"])
         raw_ops = payload["kraus"]
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed channel payload: {exc}") from exc
-    if dim > numerics.MAX_DIM:
-        raise BadDimError(f"dim {dim} exceeds the supported maximum {numerics.MAX_DIM}")
     ops = []
     for entry in raw_ops:
         re = np.asarray(entry["re"], dtype=np.float64)

@@ -204,10 +204,6 @@ def _trial_rng(seed: int, trial: int) -> np.random.Generator:
     return np.random.default_rng([seed, trial])
 
 
-def _resolve_measure(name: str, dim: int) -> Measure:
-    return measure_by_name(name, dim=dim)
-
-
 def _random_input(rng: np.random.Generator, dim: int, measure_name: str) -> DensityMatrix:
     # int_rand fuzzing sticks to pure inputs, where the measure is exact.
     if measure_name == "int_rand":
@@ -224,7 +220,7 @@ def _random_channel(rng: np.random.Generator, cfg: TrialConfig) -> KrausChannel:
 
 def _c1_trial(measure_name: str, cfg: TrialConfig, trial: int) -> _TrialOutcome:
     rng = _trial_rng(cfg.seed, trial)
-    measure = _resolve_measure(measure_name, cfg.dim)
+    measure = measure_by_name(measure_name, dim=cfg.dim)
     rho = _random_input(rng, cfg.dim, measure_name)
     value = measure.evaluate(rho)
     zero_value = measure.evaluate(dephase(rho))
@@ -247,7 +243,7 @@ def _c1_trial(measure_name: str, cfg: TrialConfig, trial: int) -> _TrialOutcome:
 
 def _c2_trial(measure_name: str, cfg: TrialConfig, trial: int) -> _TrialOutcome:
     rng = _trial_rng(cfg.seed, trial)
-    measure = _resolve_measure(measure_name, cfg.dim)
+    measure = measure_by_name(measure_name, dim=cfg.dim)
     rho = _random_input(rng, cfg.dim, measure_name)
     channel = _random_channel(rng, cfg)
     before = measure.evaluate(rho)
@@ -264,7 +260,7 @@ def _c2_trial(measure_name: str, cfg: TrialConfig, trial: int) -> _TrialOutcome:
 
 def _c3_trial(measure_name: str, cfg: TrialConfig, trial: int) -> _TrialOutcome:
     rng = _trial_rng(cfg.seed, trial)
-    measure = _resolve_measure(measure_name, cfg.dim)
+    measure = measure_by_name(measure_name, dim=cfg.dim)
     rho = _random_input(rng, cfg.dim, measure_name)
     channel = _random_channel(rng, cfg)
     before = measure.evaluate(rho)
@@ -281,7 +277,7 @@ def _c3_trial(measure_name: str, cfg: TrialConfig, trial: int) -> _TrialOutcome:
 
 def _c4_trial(measure_name: str, cfg: TrialConfig, trial: int) -> _TrialOutcome:
     rng = _trial_rng(cfg.seed, trial)
-    measure = _resolve_measure(measure_name, cfg.dim)
+    measure = measure_by_name(measure_name, dim=cfg.dim)
     rho_a = _random_input(rng, cfg.dim, measure_name)
     rho_b = _random_input(rng, cfg.dim, measure_name)
     lam = float(rng.uniform())
@@ -304,7 +300,7 @@ def _c4_trial(measure_name: str, cfg: TrialConfig, trial: int) -> _TrialOutcome:
 
 def _lemma1_trial(measure_name: str, cfg: TrialConfig, trial: int) -> _TrialOutcome:
     rng = _trial_rng(cfg.seed, trial)
-    measure = _resolve_measure(measure_name, cfg.dim)
+    measure = measure_by_name(measure_name, dim=cfg.dim)
     rho = _random_input(rng, cfg.dim, measure_name)
     unitary = random_incoherent_unitary(cfg.dim, rng)
     before = measure.evaluate(rho)
@@ -408,7 +404,7 @@ def _theorem3_trial(measure_name: str, cfg: TrialConfig, trial: int) -> _TrialOu
         witness = ViolationWitness(
             state=from_pure(probe),
             channel=offender,
-            value_before=m_mod.l1_pure(probe.probabilities),
+            value_before=float(m_mod.l1_pure(probe.probabilities)),
             value_after=m_mod.c_l1(out),
             aux={"panel_deviation": dev, "cpo_deviation": cpo_dev, "measure": "l1"},
         )
@@ -526,46 +522,62 @@ def check_theorem3(cfg: TrialConfig, jobs: int = 1) -> CriterionReport:
 
 C5_NEAR_MAX_WINDOW = 1e-6
 C5_MCS_TOL = 1e-3
+# Restarts ascended together: bounds the kernel's memory whatever the restart count.
+C5_BLOCK = 64
 
 
-def _ascend_pure(measure: Measure, w, floor=1e-9, max_rounds=50):
-    """Coordinate ascent of ``measure.evaluate_pure`` on the probability simplex.
+def _ascend(measure: Measure, w: np.ndarray, floor=1e-9, max_rounds=50):
+    """Coordinate ascent of ``measure.evaluate_pure`` from a stack of simplex points (R, d).
 
-    Each move transfers probability mass between a pair of coordinates, which
-    keeps ``w`` on the simplex, with step halving; gradient-free because the
-    l1 value is not smooth where probabilities vanish.  Phases are not
-    searched: a pure-state value depends only on ``p = |psi|^2``.
+    A move (i, j) shifts ``min(step, w[i])`` of probability from i to j;
+    gradient-free because l1 is not smooth where probabilities vanish.  Each
+    row follows the trajectory it would follow alone: passes try the d(d-1)
+    moves in row-major order and accept each gain above 1e-15, the step halves
+    after a pass without a move, and a round ends below ``floor`` with a
+    renormalization, the last one after ``max_rounds`` or a round without a
+    move.  A pass scores the moves of every row in one array evaluation, and
+    scores again, from the new point, those after an accepted one.
     """
-    dim = w.size
+    w = np.array(w, dtype=np.float64)
+    n, d = w.shape
+    src, dst = np.nonzero(~np.eye(d, dtype=bool))
+    moves = np.arange(src.size)
+    shift = np.eye(d)[dst] - np.eye(d)[src]  # row m: -1 at src[m], +1 at dst[m]
     val = measure.evaluate_pure(w)
-    for _ in range(max_rounds):
-        improved = False
-        step = 0.25
-        while step >= floor:
-            moved = False
-            for i in range(dim):
-                if w[i] <= 0.0:
-                    continue
-                for j in range(dim):
-                    if i == j:
-                        continue
-                    t = min(step, w[i])
-                    w2 = w.copy()
-                    w2[i] -= t
-                    w2[j] += t
-                    v2 = measure.evaluate_pure(w2)
-                    if v2 > val + 1e-15:
-                        w, val = w2, v2
-                        moved = True
-            if moved:
-                improved = True
-            else:
-                step *= 0.5
-        w = w / w.sum()
-        val = measure.evaluate_pure(w)
-        if not improved:
-            break
-    return w, val
+    step = np.full(n, 0.25)
+    rounds = np.zeros(n, dtype=int)
+    first = np.zeros(n, dtype=int)  # first move of the current pass still to score
+    moved = np.zeros(n, dtype=bool)  # a move was accepted in the current pass
+    improved = np.zeros(n, dtype=bool)  # ... in the current round
+    live = np.ones(n, dtype=bool)
+    while True:
+        ended = np.flatnonzero(live & (step < floor))
+        if ended.size:
+            w[ended] /= w[ended].sum(axis=1, keepdims=True)
+            val[ended] = measure.evaluate_pure(w[ended])
+            rounds[ended] += 1
+            again = improved[ended] & (rounds[ended] < max_rounds)
+            live[ended[~again]] = False
+            step[ended[again]] = 0.25
+            improved[ended] = False
+        k = np.flatnonzero(live)
+        if not k.size:
+            return w, val
+        wk = w[k]
+        source = wk[:, src]
+        t = np.minimum(step[k, None], source)
+        trial = wk[:, None, :] + t[:, :, None] * shift  # exact: adds -t, +t or 0.0
+        v = measure.evaluate_pure(trial)
+        ok = (moves >= first[k, None]) & (source > 0.0) & (v > val[k, None] + 1e-15)
+        f = ok.argmax(axis=1)  # the first accepted move, where ok has one
+        hit = ok[np.arange(k.size), f]
+        w[k[hit]] = trial[hit, f[hit]]
+        val[k[hit]] = v[hit, f[hit]]
+        e = k[~hit]  # passes that ended
+        improved[e] |= moved[e]
+        step[e[~moved[e]]] *= 0.5
+        first[k] = np.where(hit, f + 1, 0)
+        moved[k] = hit
 
 
 def check_c5(measure: str, dim: int, opt: Optional[OptimizerConfig] = None) -> CriterionReport:
@@ -574,9 +586,10 @@ def check_c5(measure: str, dim: int, opt: Optional[OptimizerConfig] = None) -> C
 
     The search runs on the probability simplex through ``evaluate_pure``,
     one ascent per restart from a Dirichlet-random point, and each point
-    found stands for the real-amplitude state ``sqrt(p)``.  Near-maximal
-    means within 1e-6 of the best value; membership is tested at
-    tolerance 1e-3.  A FAIL report (violations > 0) carries a witness state
+    found stands for the real-amplitude state ``sqrt(p)``.  The restarts
+    ascend together, C5_BLOCK at a time, each on its own trajectory.
+    Near-maximal means within 1e-6 of the best value; membership is tested
+    at tolerance 1e-3.  A FAIL report (violations > 0) carries a witness state
     attaining the maximum while not being maximally coherent, which is what
     the 0/1 ``trivial`` measure produces.  For ``int_rand`` the verdict is
     advisory: its mixed-state branch is an optimizer upper bound, and the
@@ -587,10 +600,11 @@ def check_c5(measure: str, dim: int, opt: Optional[OptimizerConfig] = None) -> C
     opt = opt or OptimizerConfig(restarts=64)
     m = measure_by_name(measure, dim=dim)
     rng = np.random.default_rng([opt.seed, 424243])
+    starts = rng.dirichlet(np.ones(dim), size=max(1, opt.restarts))
     candidates = []
-    for _ in range(max(1, opt.restarts)):
-        w, val = _ascend_pure(m, rng.dirichlet(np.ones(dim)))
-        candidates.append((val, PureState(np.sqrt(w))))
+    for b in range(0, len(starts), C5_BLOCK):
+        ws, vals = _ascend(m, starts[b : b + C5_BLOCK])
+        candidates.extend((val, PureState(np.sqrt(w))) for w, val in zip(ws, vals.tolist()))
 
     best_val = max(val for val, _ in candidates)
     slacks = []
@@ -661,8 +675,8 @@ def skew_violation_witness(dim: int) -> ViolationWitness:
     shifted_amp[[(j + 1) % dim for j in range(dim)]] = base.amplitudes
     shifted = PureState(shifted_amp)
 
-    v_base = m_mod.c_skew_pure(base.probabilities, k)
-    v_shifted = m_mod.c_skew_pure(shifted.probabilities, k)
+    v_base = float(m_mod.c_skew_pure(base.probabilities, k))
+    v_shifted = float(m_mod.c_skew_pure(shifted.probabilities, k))
     if v_shifted > v_base:
         state, channel, before, after = base, shift, v_base, v_shifted
     else:
@@ -694,27 +708,27 @@ def reevaluate_witness(report: CriterionReport) -> tuple[float, float]:
         raise BadParamsError("report has no witness")
     crit = report.criterion
     if crit in ("C2", "LEMMA1", "SKEW_WITNESS"):
-        measure = _resolve_measure(report.measure, report.dim)
+        measure = measure_by_name(report.measure, dim=report.dim)
         return measure.evaluate(w.state), measure.evaluate(_apply_witness_channel(w))
     if crit == "C3":
-        measure = _resolve_measure(report.measure, report.dim)
+        measure = measure_by_name(report.measure, dim=report.dim)
         branches = apply_selective(w.channel, w.state)
         return (
             measure.evaluate(w.state),
             float(sum(p * measure.evaluate(b) for p, b in branches)),
         )
     if crit == "C4":
-        measure = _resolve_measure(report.measure, report.dim)
+        measure = measure_by_name(report.measure, dim=report.dim)
         rho_a = st_mod.state_from_dict(w.aux["state_a"])
         rho_b = st_mod.state_from_dict(w.aux["state_b"])
         lam = float(w.aux["lam"])
         before = lam * measure.evaluate(rho_a) + (1.0 - lam) * measure.evaluate(rho_b)
         return before, measure.evaluate(w.state)
     if crit == "C1":
-        measure = _resolve_measure(report.measure, report.dim)
+        measure = measure_by_name(report.measure, dim=report.dim)
         return measure.evaluate(w.state), measure.evaluate(dephase(w.state))
     if crit == "C5":
-        measure = _resolve_measure(report.measure, report.dim)
+        measure = measure_by_name(report.measure, dim=report.dim)
         return measure.evaluate(w.state), mcs_deviation(w.state)
     if crit == "LEMMA2":
         return mcs_deviation(w.state), mcs_deviation(_apply_witness_channel(w))

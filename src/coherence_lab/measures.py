@@ -38,11 +38,10 @@ _LOG_FLOOR = 1e-15
 _RANK_TOL = 1e-12
 
 
-def shannon_entropy(probs: np.ndarray) -> float:
-    """Base-2 entropy with the 0 log 0 = 0 convention."""
+def shannon_entropy(probs: np.ndarray):
+    """Base-2 entropy of each distribution along the last axis, with 0 log 0 = 0."""
     p = np.asarray(probs, dtype=np.float64)
-    p = p[p > 0.0]
-    return float(-(p * np.log2(np.maximum(p, _LOG_FLOOR))).sum())
+    return -np.where(p > 0.0, p * np.log2(np.maximum(p, _LOG_FLOOR)), 0.0).sum(axis=-1)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -115,17 +114,17 @@ def c_l1(rho: DensityMatrix) -> float:
     return off_diagonal_mass(rho)
 
 
-def l1_pure(p: np.ndarray) -> float:
+def l1_pure(p: np.ndarray):
     """l1 of the pure state with basis probabilities p: (sum_i sqrt(p_i))^2 - sum_i p_i."""
-    return float(np.sqrt(p).sum() ** 2 - p.sum())
+    return np.sqrt(p).sum(axis=-1) ** 2 - p.sum(axis=-1)
 
 
 def c_rel_ent(rho: DensityMatrix) -> float:
     """Entropy gained by dephasing: H(diag) - H(spectrum), in bits."""
-    return shannon_entropy(rho.diagonal) - shannon_entropy(rho.eigen.eigenvalues)
+    return float(shannon_entropy(rho.diagonal) - shannon_entropy(rho.eigen.eigenvalues))
 
 
-def rel_ent_pure(p: np.ndarray) -> float:
+def rel_ent_pure(p: np.ndarray):
     """rel_ent of the pure state with basis probabilities p: their Shannon entropy."""
     return shannon_entropy(p)
 
@@ -135,8 +134,8 @@ def c_trivial(rho: DensityMatrix) -> float:
     return 0.0 if is_incoherent(rho, states.INCOHERENCE_TOL) else 1.0
 
 
-def trivial_pure(p: np.ndarray) -> float:
-    return 0.0 if l1_pure(p) <= states.INCOHERENCE_TOL else 1.0
+def trivial_pure(p: np.ndarray):
+    return (l1_pure(p) > states.INCOHERENCE_TOL).astype(np.float64)
 
 
 def c_skew(rho: DensityMatrix, k: DiagonalObservable) -> float:
@@ -150,12 +149,13 @@ def c_skew(rho: DensityMatrix, k: DiagonalObservable) -> float:
     return direct - crossed
 
 
-def c_skew_pure(p: np.ndarray, k: DiagonalObservable) -> float:
+def c_skew_pure(p: np.ndarray, k: DiagonalObservable):
     """Closed form on pure states: 1/2 sum_{i != j} p_i p_j (k_i - k_j)^2 with p = |<i|psi>|^2."""
-    if k.dim != p.size:
-        raise DimMismatchError(f"observable dim {k.dim} != state dim {p.size}")
+    if k.dim != p.shape[-1]:
+        raise DimMismatchError(f"observable dim {k.dim} != state dim {p.shape[-1]}")
     diff = k.values[:, None] - k.values[None, :]
-    return float(0.5 * (p @ (diff**2) @ p))
+    # elementwise sums, not matmul: each row rounds the same in any stack
+    return 0.5 * ((p[..., :, None] * diff**2).sum(axis=-2) * p).sum(axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -306,11 +306,12 @@ def c_int_rand(rho: DensityMatrix, opt: Optional[OptimizerConfig] = None) -> flo
 class Measure:
     """Named evaluator: ``evaluate`` takes a density matrix, ``evaluate_pure`` the
     basis probabilities ``p = |psi|^2`` of a pure state (``PureState.probabilities``),
-    all a pure-state value depends on by invariance under relabelings with phases."""
+    all a pure-state value depends on by invariance under relabelings with phases,
+    or a stack ``(..., d)`` of them, for which it returns the ``(...)`` row values."""
 
     name: str
     evaluate: Callable[[DensityMatrix], float]
-    evaluate_pure: Callable[[np.ndarray], float]
+    evaluate_pure: Callable[[np.ndarray], np.ndarray]
 
 
 MEASURE_NAMES = ("l1", "rel_ent", "int_rand", "skew", "trivial")

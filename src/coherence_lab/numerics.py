@@ -11,13 +11,21 @@ import dataclasses
 
 import numpy as np
 
-from .errors import NonHermitianError, NonSquareError, NotPSDError
+from .errors import BadDimError, NonHermitianError, NonSquareError, NotPSDError
 
 # Largest dimension a state or channel file may declare.
 MAX_DIM = 16
 
 # Eigenvalues in [-PSD_FLOOR, 0) are clamped to zero; anything lower is an error.
 PSD_FLOOR = 1e-9
+
+
+def file_dim(value) -> int:
+    """The ``dim`` of a state or channel file: an integer (not a bool) in 2..MAX_DIM."""
+    integer = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+    if not (integer and 2 <= value <= MAX_DIM):
+        raise BadDimError(f"dim must be an integer in 2..{MAX_DIM}, got {value!r}")
+    return int(value)
 
 
 def frobenius(a: np.ndarray) -> float:

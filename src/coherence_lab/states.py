@@ -71,13 +71,6 @@ class PureState:
         }
 
 
-def basis_state(dim: int, i: int) -> PureState:
-    """Basis ket |i> in dimension dim."""
-    amp = np.zeros(dim, dtype=np.complex128)
-    amp[i] = 1.0
-    return PureState(amp)
-
-
 @dataclasses.dataclass(frozen=True, eq=False)
 class DensityMatrix:
     """d x d density matrix: Hermitian, unit trace, spectrum >= -1e-9.
@@ -197,14 +190,12 @@ def state_from_dict(payload: dict):
     density matrices flattened row-major.  Parsing re-runs full validation.
     """
     try:
-        dim = int(payload["dim"])
+        dim = numerics.file_dim(payload["dim"])
         kind = payload["kind"]
         re = np.asarray(payload["re"], dtype=np.float64).reshape(-1)
         im = np.asarray(payload["im"], dtype=np.float64).reshape(-1)
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed state payload: {exc}") from exc
-    if dim > numerics.MAX_DIM:
-        raise BadDimError(f"dim {dim} exceeds the supported maximum {numerics.MAX_DIM}")
     if re.size != im.size:
         raise ValueError(f"re/im length mismatch: {re.size} vs {im.size}")
     data = re + 1j * im

@@ -9,8 +9,6 @@ from coherence_lab.channels import (
     canonical_form,
     channel_from_dict,
     choi_matrix,
-    compose,
-    identity_channel,
     is_cpo,
     is_incoherent_channel,
     random_incoherent_channel,
@@ -91,7 +89,7 @@ def test_canonical_form_rejects_coherent_channel():
 
 def test_apply_identity():
     rho = random_density(3, 2, 1)
-    out = apply_channel(identity_channel(3), rho)
+    out = apply_channel(KrausChannel((np.eye(3),)), rho)
     np.testing.assert_allclose(out.matrix, rho.matrix, atol=1e-15)
 
 
@@ -109,7 +107,7 @@ def test_apply_permutation_on_diagonal():
 
 def test_apply_dim_mismatch():
     with pytest.raises(DimMismatchError):
-        apply_channel(identity_channel(2), random_density(3, 1, 0))
+        apply_channel(KrausChannel((np.eye(2),)), random_density(3, 1, 0))
 
 
 def test_selective_projective_on_plus():
@@ -203,7 +201,7 @@ def test_random_incoherent_channel_properties():
 
 def test_compose_with_identity_is_identity_map():
     ch = random_incoherent_channel(3, 2, 5)
-    composed = compose(identity_channel(3), ch)
+    composed = KrausChannel(tuple(np.eye(3) @ k for k in ch.kraus))
     rho = random_density(3, 3, 5)
     assert np.max(np.abs(apply_channel(composed, rho).matrix - apply_channel(ch, rho).matrix)) <= 1e-12
 
@@ -211,7 +209,9 @@ def test_compose_with_identity_is_identity_map():
 def test_compose_permutations():
     a = IncoherentUnitary(perm=(1, 2, 0), phases=(0.0, 0.0, 0.0))
     b = IncoherentUnitary(perm=(2, 0, 1), phases=(0.0, 0.0, 0.0))
-    composed = compose(a.as_channel(), b.as_channel())
+    composed = KrausChannel(
+        tuple(ka @ kb for ka in a.as_channel().kraus for kb in b.as_channel().kraus)
+    )
     np.testing.assert_allclose(composed.kraus[0], a.matrix() @ b.matrix(), atol=1e-15)
     assert is_incoherent_channel(composed)
 
@@ -220,7 +220,7 @@ def test_compose_preserves_incoherence():
     for seed in range(6):
         a = random_incoherent_channel(3, 2, [30, seed])
         b = random_incoherent_channel(3, 3, [31, seed])
-        both = compose(a, b)
+        both = KrausChannel(tuple(ka @ kb for ka in a.kraus for kb in b.kraus))
         assert is_incoherent_channel(both)
         rho = random_density(3, 2, [32, seed])
         chained = apply_channel(a, apply_channel(b, rho))
@@ -243,6 +243,15 @@ def test_channel_from_dict_caps_dim_at_16():
     assert channel_from_dict(identity(16)).dim == 16
     with pytest.raises(BadDimError):
         channel_from_dict(identity(17))
+
+
+# each of these int() would read as a dimension of 1 or 2
+@pytest.mark.parametrize("dim", [2.7, 2.0, "2", 1.9, True, 1, 0])
+def test_channel_from_dict_rejects_non_integer_or_small_dim(dim):
+    n = max(1, int(dim))
+    payload = {"dim": dim, "kraus": [{"re": np.eye(n).ravel().tolist(), "im": [0.0] * n**2}]}
+    with pytest.raises(BadDimError):
+        channel_from_dict(payload)
 
 
 def test_channel_json_round_trip():

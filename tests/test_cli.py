@@ -232,6 +232,13 @@ def test_dim_above_16_is_exit_3(tmp_path, capsys):
     assert capsys.readouterr().out == ""
 
 
+def test_non_integer_dim_is_exit_3(tmp_path, capsys):
+    state = tmp_path / "psi.json"
+    state.write_text(json.dumps({"dim": 2.7, "kind": "pure", "re": [1.0, 0.0], "im": [0.0, 0.0]}))
+    assert cli.run(["measure", "--state", str(state), "--measure", "int_rand"]) == 3
+    assert capsys.readouterr().out == ""
+
+
 def test_out_file_writing(tmp_path, psi3_file):
     out = tmp_path / "result.json"
     code = cli.run(["measure", "--state", psi3_file, "--measure", "l1", "--out", str(out)])

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from coherence_lab import harness
 from coherence_lab.channels import IncoherentUnitary, KrausChannel, apply_channel
 from coherence_lab.errors import BadDimError, BadParamsError
 from coherence_lab.harness import (
@@ -17,6 +18,7 @@ from coherence_lab.harness import (
     check_lemma1,
     check_lemma2,
     check_theorem3,
+    _ascend,
     _panel_deviation,
     _pool_size,
     _probe_panel,
@@ -26,7 +28,7 @@ from coherence_lab.harness import (
     skew_witness_report,
 )
 from coherence_lab.mcs import is_mcs, mcs_deviation
-from coherence_lab.measures import MEASURE_NAMES, OptimizerConfig
+from coherence_lab.measures import MEASURE_NAMES, OptimizerConfig, measure_by_name
 from coherence_lab.states import DensityMatrix, from_pure
 
 
@@ -242,6 +244,65 @@ def test_c5_pinned(key):
         np.testing.assert_allclose(
             np.sqrt(report.witness.state.diagonal), amplitudes, rtol=0, atol=loose
         )
+
+
+def _ascend_pure(measure, w, floor=1e-9, max_rounds=50):
+    """The scalar ascent ``_ascend`` replaced, one restart at a time: the reference."""
+    dim = w.size
+    val = measure.evaluate_pure(w)
+    for _ in range(max_rounds):
+        improved = False
+        step = 0.25
+        while step >= floor:
+            moved = False
+            for i in range(dim):
+                if w[i] <= 0.0:
+                    continue
+                for j in range(dim):
+                    if i == j:
+                        continue
+                    t = min(step, w[i])
+                    w2 = w.copy()
+                    w2[i] -= t
+                    w2[j] += t
+                    v2 = measure.evaluate_pure(w2)
+                    if v2 > val + 1e-15:
+                        w, val = w2, v2
+                        moved = True
+            if moved:
+                improved = True
+            else:
+                step *= 0.5
+        w = w / w.sum()
+        val = measure.evaluate_pure(w)
+        if not improved:
+            break
+    return w, val
+
+
+@pytest.mark.parametrize("kw", [{}, {"max_rounds": 1}, {"floor": 1e-3}, {"floor": 0.5}])
+@pytest.mark.parametrize("dim", [2, 3, 5])
+@pytest.mark.parametrize("name", MEASURE_NAMES)
+def test_ascent_stack_matches_one_at_a_time(name, dim, kw):
+    m = measure_by_name(name, dim=dim)
+    starts = np.random.default_rng([61, dim]).dirichlet(np.ones(dim), size=5)
+    starts[0, 0] = 0.0  # a vanishing coordinate, skipped as a source
+    starts[0] /= starts[0].sum()
+    ws, vals = _ascend(m, starts, **kw)
+    for start, w, val in zip(starts, ws, vals):
+        (w_one,), (val_one,) = _ascend(m, start[None], **kw)
+        w_ref, val_ref = _ascend_pure(m, start.copy(), **kw)
+        assert np.array_equal(w, w_one) and val == val_one
+        assert np.array_equal(w, w_ref) and val == val_ref
+
+
+def test_c5_does_not_depend_on_block_size(monkeypatch):
+    opt = OptimizerConfig(restarts=10, seed=3)
+    reports = []
+    for block in (64, 3, 1):
+        monkeypatch.setattr(harness, "C5_BLOCK", block)
+        reports.append(json.dumps(check_c5("skew", 3, opt).to_dict()))
+    assert reports[0] == reports[1] == reports[2]
 
 
 def test_c5_rejects_bad_dim():

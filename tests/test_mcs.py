@@ -22,7 +22,6 @@ from coherence_lab.mcs import (
 from coherence_lab.states import (
     DensityMatrix,
     PureState,
-    basis_state,
     fidelity_pure,
     from_pure,
     random_density,
@@ -56,7 +55,7 @@ def test_mcs_descriptor_gauge_and_round_trip():
     back = McsDescriptor.from_state(psi)
     np.testing.assert_allclose(back.phases, desc.phases, atol=1e-12)
     with pytest.raises(BadDimError):
-        McsDescriptor.from_state(basis_state(3, 0))
+        McsDescriptor.from_state(PureState(np.eye(3)[0]))
 
 
 def test_mcs_sample_membership_and_determinism():
@@ -87,7 +86,7 @@ def test_transform_to_itself_is_faithful():
 
 def test_transform_to_basis_state_d2():
     # target |0>: operators |0><0| and |0><1|; both branches land on |0>
-    ch = transform_mcs_to(basis_state(2, 0))
+    ch = transform_mcs_to(PureState(np.eye(2)[0]))
     np.testing.assert_allclose(ch.kraus[0], np.array([[1, 0], [0, 0]]), atol=0)
     np.testing.assert_allclose(ch.kraus[1], np.array([[0, 1], [0, 0]]), atol=0)
     assert is_incoherent_channel(ch)

@@ -26,7 +26,6 @@ from coherence_lab.mcs import uniform_superposition
 from coherence_lab.states import (
     DensityMatrix,
     PureState,
-    basis_state,
     dephase,
     from_pure,
     off_diagonal_mass,
@@ -146,7 +145,7 @@ def test_skew_pure_hand_value_17_36():
 
 
 def test_skew_pure_basis_state_zero():
-    assert c_skew_pure(basis_state(3, 0).probabilities, default_observable(3)) == 0.0
+    assert c_skew_pure(PureState(np.eye(3)[0]).probabilities, default_observable(3)) == 0.0
 
 
 @pytest.mark.parametrize("dim", [2, 3, 4])
@@ -388,6 +387,33 @@ def test_pure_fast_path_matches_density_path(name, point):
     m = measure_by_name(name, dim=p.size)
     psi = PureState(np.sqrt(p) * np.exp(1j * theta))
     assert abs(m.evaluate(from_pure(psi)) - m.evaluate_pure(p)) <= 1e-9
+
+
+@st.composite
+def simplex_stacks(draw):
+    """A stack (n, k, d) of probability-simplex points in d = 2..8, zeros allowed."""
+    dim = draw(st.integers(2, 8))
+    n = draw(st.integers(1, 3))
+    k = draw(st.integers(1, 4))
+    size = n * k * dim
+    w = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=size, max_size=size)))
+    w = w.reshape(n, k, dim)
+    assume(bool((w.sum(axis=-1) > 0.0).all()))
+    return w / w.sum(axis=-1, keepdims=True)
+
+
+@pytest.mark.parametrize("name", measures.MEASURE_NAMES)
+@settings(max_examples=50, deadline=None)
+@given(stack=simplex_stacks())
+def test_pure_measures_evaluate_stacks_row_by_row(name, stack):
+    m = measure_by_name(name, dim=stack.shape[-1])
+    values = m.evaluate_pure(stack)
+    assert values.shape == stack.shape[:-1]
+    rows = np.array([[m.evaluate_pure(p) for p in block] for block in stack])
+    if name == "skew":
+        np.testing.assert_allclose(values, rows, rtol=0, atol=1e-15)
+    else:
+        np.testing.assert_array_equal(values, rows)
 
 
 def test_l1_pure_identity():

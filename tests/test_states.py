@@ -8,7 +8,6 @@ from coherence_lab.errors import BadDimError, BadRankError, NotNormalizedError
 from coherence_lab.states import (
     DensityMatrix,
     PureState,
-    basis_state,
     dephase,
     fidelity_pure,
     from_pure,
@@ -20,7 +19,7 @@ from coherence_lab.states import (
 
 
 def test_from_pure_basis_state():
-    rho = from_pure(basis_state(2, 0))
+    rho = from_pure(PureState(np.eye(2)[0]))
     np.testing.assert_allclose(rho.matrix, np.diag([1.0, 0.0]), atol=0)
 
 
@@ -155,10 +154,24 @@ def test_state_from_dict_caps_dim_at_16():
             state_from_dict(payload)
 
 
+# each of these int() would read as a dimension of 1 or 2
+@pytest.mark.parametrize("dim", [2.7, 2.0, "2", 1.9, True, 1, 0])
+def test_state_from_dict_rejects_non_integer_or_small_dim(dim):
+    n = max(1, int(dim))
+    payload = {"dim": dim, "kind": "pure", "re": [1.0] + [0.0] * (n - 1), "im": [0.0] * n}
+    with pytest.raises(BadDimError):
+        state_from_dict(payload)
+
+
+def test_state_from_dict_accepts_numpy_integer_dim():
+    payload = {"dim": np.int64(2), "kind": "pure", "re": [1.0, 0.0], "im": [0.0, 0.0]}
+    assert state_from_dict(payload).dim == 2
+
+
 def test_fidelity_pure():
     psi = random_pure(4, 2)
     assert abs(fidelity_pure(from_pure(psi), psi) - 1.0) <= 1e-12
-    other = basis_state(4, 0)
+    other = PureState(np.eye(4)[0])
     assert fidelity_pure(from_pure(other), psi) == pytest.approx(abs(psi.amplitudes[0]) ** 2)
 
 
