@@ -42,9 +42,9 @@ class KrausChannel:
         ops = tuple(numerics.as_square_matrix(k, "Kraus operator") for k in self.kraus)
         if not ops:
             raise IncompleteChannelError("channel needs at least one Kraus operator")
-        d = ops[0].shape[0]
-        if any(k.shape[0] != d for k in ops):
-            raise DimMismatchError("Kraus operators have mixed dimensions")
+        d = ops[0].shape[-1]
+        if any(k.shape != (d, d) for k in ops):
+            raise DimMismatchError("Kraus operators must all be d x d matrices of one d")
         gram = sum(dagger(k) @ k for k in ops)
         if frobenius(gram - np.eye(d)) > COMPLETENESS_TOL:
             raise IncompleteChannelError(
@@ -137,29 +137,42 @@ def canonical_form(ch: KrausChannel, tol: float = INCOHERENT_ENTRY_TOL) -> Incoh
     )
 
 
-def apply_channel(ch: KrausChannel, rho: DensityMatrix) -> DensityMatrix:
-    """Non-selective action sum_n K_n rho K_n†."""
-    if ch.dim != rho.dim:
-        raise DimMismatchError(f"channel dim {ch.dim} != state dim {rho.dim}")
-    out = np.zeros_like(rho.matrix)
+def apply_channel(ch: KrausChannel, rho: DensityMatrix | np.ndarray):
+    """Non-selective action sum_n K_n rho K_n†.
+
+    Takes a DensityMatrix and returns one, or takes an array stack
+    ``(..., d, d)`` and returns the stack of outputs.  Arrays are taken as
+    they are: the measures validate the stacks they evaluate.
+    """
+    m = rho.matrix if isinstance(rho, DensityMatrix) else rho
+    if ch.dim != m.shape[-1]:
+        raise DimMismatchError(f"channel dim {ch.dim} != state dim {m.shape[-1]}")
+    out = np.zeros_like(m)
     for k in ch.kraus:
-        out += k @ rho.matrix @ dagger(k)
+        out += k @ m @ dagger(k)
     out = (out + dagger(out)) / 2.0
-    return DensityMatrix(out, check_psd=False)
+    return DensityMatrix(out, check_psd=False) if isinstance(rho, DensityMatrix) else out
 
 
-def apply_selective(ch: KrausChannel, rho: DensityMatrix):
-    """Measurement branches [(p_n, K_n rho K_n†/p_n)]; branches below 1e-14 dropped."""
-    if ch.dim != rho.dim:
-        raise DimMismatchError(f"channel dim {ch.dim} != state dim {rho.dim}")
+def apply_selective(ch: KrausChannel, rho: DensityMatrix | np.ndarray):
+    """Measurement branches [(p_n, K_n rho K_n†/p_n)]; branches below 1e-14 dropped.
+
+    The branches are DensityMatrix objects for a DensityMatrix, and d x d
+    arrays for a d x d array, taken as it is like in ``apply_channel``.
+    """
+    m = rho.matrix if isinstance(rho, DensityMatrix) else rho
+    if ch.dim != m.shape[-1]:
+        raise DimMismatchError(f"channel dim {ch.dim} != state dim {m.shape[-1]}")
     outcomes = []
     for k in ch.kraus:
-        raw = k @ rho.matrix @ dagger(k)
+        raw = k @ m @ dagger(k)
         p = float(np.trace(raw).real)
         if p <= PROB_FLOOR:
             continue
         branch = (raw + dagger(raw)) / (2.0 * p)
-        outcomes.append((p, DensityMatrix(branch, check_psd=False)))
+        if isinstance(rho, DensityMatrix):
+            branch = DensityMatrix(branch, check_psd=False)
+        outcomes.append((p, branch))
     return outcomes
 
 
@@ -194,19 +207,15 @@ class IncoherentUnitary:
     def as_channel(self) -> KrausChannel:
         return KrausChannel((self.matrix(),))
 
-    def conjugate(self, rho: DensityMatrix) -> DensityMatrix:
-        if rho.dim != self.dim:
-            raise DimMismatchError(f"unitary dim {self.dim} != state dim {rho.dim}")
+    def conjugate(self, rho: DensityMatrix | np.ndarray):
+        """U rho U† of a DensityMatrix, returned as one, or of each matrix in an
+        array stack ``(..., d, d)``, taken as it is and returned as a stack."""
+        m = rho.matrix if isinstance(rho, DensityMatrix) else rho
+        if m.shape[-1] != self.dim:
+            raise DimMismatchError(f"unitary dim {self.dim} != state dim {m.shape[-1]}")
         u = self.matrix()
-        return DensityMatrix(u @ rho.matrix @ dagger(u), check_psd=False)
-
-    def compose(self, other: "IncoherentUnitary") -> "IncoherentUnitary":
-        """self after other; matrix(self) @ matrix(other)."""
-        if self.dim != other.dim:
-            raise DimMismatchError("dimension mismatch")
-        perm = tuple(self.perm[a] for a in other.perm)
-        phases = tuple(other.phases[j] + self.phases[other.perm[j]] for j in range(self.dim))
-        return IncoherentUnitary(perm, phases)
+        out = u @ m @ dagger(u)
+        return DensityMatrix(out, check_psd=False) if isinstance(rho, DensityMatrix) else out
 
     def inverse(self) -> "IncoherentUnitary":
         inv = [0] * self.dim
@@ -271,12 +280,8 @@ def random_incoherent_channel(dim: int, n_kraus: int, seed) -> KrausChannel:
     weights = rng.dirichlet(np.ones(n_kraus), size=dim).T  # (n_kraus, dim)
     moduli = np.sqrt(weights)
     angles = rng.uniform(0.0, _TWO_PI, size=(n_kraus, dim))
-    cols = np.arange(dim)
-    ops = []
-    for n in range(n_kraus):
-        k = np.zeros((dim, dim), dtype=np.complex128)
-        k[perms[n], cols] = moduli[n] * np.exp(1j * angles[n])
-        ops.append(k)
+    ops = np.zeros((n_kraus, dim, dim), dtype=np.complex128)
+    ops[np.arange(n_kraus)[:, None], perms, np.arange(dim)] = moduli * np.exp(1j * angles)
     return KrausChannel(tuple(ops))
 
 

@@ -18,7 +18,11 @@ class NotPSDError(CoherenceLabError):
 
 
 class NotNormalizedError(CoherenceLabError):
-    """State vector does not have unit norm."""
+    """State vector does not have unit norm, or density matrix does not have unit trace."""
+
+
+class NonFiniteError(CoherenceLabError):
+    """Matrix has a NaN or infinite entry."""
 
 
 class BadDimError(CoherenceLabError):

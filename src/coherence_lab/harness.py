@@ -5,6 +5,13 @@ CriterionReport.  Trial randomness derives from (seed, trial index), so a
 report is a pure function of its TrialConfig: reruns and parallel runs
 produce bit-identical results.
 
+Trials run in blocks of at most TRIAL_BLOCK.  Each trial draws its inputs
+from its own stream, and the measure is evaluated once per stack of the
+block's matrices, so that the block makes one spectral call where the
+trials alone would make one each; the stacked kernels round every row as
+they round one matrix.  LEMMA2 and THEOREM3 run their trials one at a time,
+and THEOREM3 measures its whole probe panel as one stack.
+
 Checks
 ------
 * ``check_c1``   -- value vanishes exactly on incoherent states and is
@@ -67,6 +74,9 @@ CPO_PRESERVE_TOL = 1e-9
 
 # Probe panel size for check_theorem3.
 PROBE_COUNT = 20
+
+# Trials evaluated as one stack: bounds a block's memory whatever the trial count.
+TRIAL_BLOCK = 256
 
 CRITERIA = ("C1", "C2", "C3", "C4", "C5", "LEMMA1", "LEMMA2", "THEOREM3")
 
@@ -194,14 +204,35 @@ def report_from_dict(payload: dict) -> CriterionReport:
 
 
 @dataclasses.dataclass(frozen=True)
-class _TrialOutcome:
-    slack: Optional[float]  # None when the trial does not contribute a slack
-    violation: bool
+class _Block:
+    """Outcomes of consecutive trials, one row each.
+
+    ``slack[i]`` is the signed slack of row i and counts only where
+    ``counted[i]`` (an exempt or inconclusive trial yields none).
+    ``witness`` is the witness of the violating row of least slack, the
+    first one on ties, and None when no row violates.
+    """
+
+    slack: np.ndarray
+    counted: np.ndarray
+    violation: np.ndarray
     witness: Optional[ViolationWitness]
 
 
-def _trial_rng(seed: int, trial: int) -> np.random.Generator:
-    return np.random.default_rng([seed, trial])
+def _block(slack, violation, make_witness, counted=None) -> _Block:
+    """Pack a block's rows; ``make_witness(i)`` builds row i's witness, and is
+    called for the one row that ``_Block.witness`` keeps."""
+    rows = np.flatnonzero(violation)
+    return _Block(
+        slack=slack,
+        counted=np.ones(len(slack), dtype=bool) if counted is None else counted,
+        violation=violation,
+        witness=make_witness(rows[np.argmin(slack[rows])]) if rows.size else None,
+    )
+
+
+def _trial_rngs(cfg: TrialConfig, trials: range) -> list:
+    return [np.random.default_rng([cfg.seed, t]) for t in trials]
 
 
 def _random_input(rng: np.random.Generator, dim: int, measure_name: str) -> DensityMatrix:
@@ -218,105 +249,124 @@ def _random_channel(rng: np.random.Generator, cfg: TrialConfig) -> KrausChannel:
     return random_incoherent_channel(cfg.dim, n_kraus, rng)
 
 
-def _c1_trial(measure_name: str, cfg: TrialConfig, trial: int) -> _TrialOutcome:
-    rng = _trial_rng(cfg.seed, trial)
+def _stack(rhos) -> np.ndarray:
+    return np.stack([rho.matrix for rho in rhos])
+
+
+def _mapped_witness(rhos, maps, before, after):
+    """``make_witness`` of a block whose trial i maps rhos[i] by maps[i]."""
+    return lambda i: ViolationWitness(
+        state=rhos[i], channel=maps[i], value_before=float(before[i]), value_after=float(after[i])
+    )
+
+
+# Each block function draws every trial's inputs from its own stream
+# default_rng([seed, trial]), in the order a trial draws them alone, then
+# evaluates the measure once per stack of the block's matrices.
+
+
+def _c1_block(measure_name: str, cfg: TrialConfig, trials: range) -> _Block:
     measure = measure_by_name(measure_name, dim=cfg.dim)
-    rho = _random_input(rng, cfg.dim, measure_name)
-    value = measure.evaluate(rho)
-    zero_value = measure.evaluate(dephase(rho))
-    mass = st_mod.off_diagonal_mass(rho)
+    rhos = [_random_input(rng, cfg.dim, measure_name) for rng in _trial_rngs(cfg, trials)]
+    m = _stack(rhos)
+    value = measure.evaluate(m)
+    zero_value = measure.evaluate(dephase(m))
+    mass = st_mod.off_diagonal_mass(m)
     slack = C1_ZERO_TOL - zero_value
-    if mass > C1_MASS_FLOOR:
-        slack = min(slack, value - C1_VALUE_FLOOR)
-    violation = slack < 0
-    witness = None
-    if violation:
-        witness = ViolationWitness(
-            state=rho,
+    slack = np.where(mass > C1_MASS_FLOOR, np.minimum(slack, value - C1_VALUE_FLOOR), slack)
+    return _block(
+        slack,
+        slack < 0,
+        lambda i: ViolationWitness(
+            state=rhos[i],
             channel=None,
-            value_before=value,
-            value_after=zero_value,
-            aux={"off_diagonal_mass": mass},
-        )
-    return _TrialOutcome(slack, violation, witness)
-
-
-def _c2_trial(measure_name: str, cfg: TrialConfig, trial: int) -> _TrialOutcome:
-    rng = _trial_rng(cfg.seed, trial)
-    measure = measure_by_name(measure_name, dim=cfg.dim)
-    rho = _random_input(rng, cfg.dim, measure_name)
-    channel = _random_channel(rng, cfg)
-    before = measure.evaluate(rho)
-    after = measure.evaluate(apply_channel(channel, rho))
-    slack = before - after
-    violation = slack < -cfg.tol
-    witness = (
-        ViolationWitness(state=rho, channel=channel, value_before=before, value_after=after)
-        if violation
-        else None
+            value_before=float(value[i]),
+            value_after=float(zero_value[i]),
+            aux={"off_diagonal_mass": float(mass[i])},
+        ),
     )
-    return _TrialOutcome(slack, violation, witness)
 
 
-def _c3_trial(measure_name: str, cfg: TrialConfig, trial: int) -> _TrialOutcome:
-    rng = _trial_rng(cfg.seed, trial)
+def _c2_block(measure_name: str, cfg: TrialConfig, trials: range) -> _Block:
     measure = measure_by_name(measure_name, dim=cfg.dim)
-    rho = _random_input(rng, cfg.dim, measure_name)
-    channel = _random_channel(rng, cfg)
-    before = measure.evaluate(rho)
-    after = sum(p * measure.evaluate(branch) for p, branch in apply_selective(channel, rho))
+    rngs = _trial_rngs(cfg, trials)
+    rhos = [_random_input(rng, cfg.dim, measure_name) for rng in rngs]
+    channels = [_random_channel(rng, cfg) for rng in rngs]
+    before = measure.evaluate(_stack(rhos))
+    after = measure.evaluate(np.stack([apply_channel(ch, rho.matrix) for ch, rho in zip(channels, rhos)]))
     slack = before - after
-    violation = slack < -cfg.tol
-    witness = (
-        ViolationWitness(state=rho, channel=channel, value_before=before, value_after=after)
-        if violation
-        else None
+    return _block(
+        slack,
+        slack < -cfg.tol,
+        _mapped_witness(rhos, channels, before, after),
     )
-    return _TrialOutcome(slack, violation, witness)
 
 
-def _c4_trial(measure_name: str, cfg: TrialConfig, trial: int) -> _TrialOutcome:
-    rng = _trial_rng(cfg.seed, trial)
+def _c3_block(measure_name: str, cfg: TrialConfig, trials: range) -> _Block:
     measure = measure_by_name(measure_name, dim=cfg.dim)
-    rho_a = _random_input(rng, cfg.dim, measure_name)
-    rho_b = _random_input(rng, cfg.dim, measure_name)
-    lam = float(rng.uniform())
-    mixed = st_mod.mix([(lam, rho_a), (1.0 - lam, rho_b)])
-    before = lam * measure.evaluate(rho_a) + (1.0 - lam) * measure.evaluate(rho_b)
+    rngs = _trial_rngs(cfg, trials)
+    rhos = [_random_input(rng, cfg.dim, measure_name) for rng in rngs]
+    channels = [_random_channel(rng, cfg) for rng in rngs]
+    owners, weights, branches = [], [], []
+    for i, (ch, rho) in enumerate(zip(channels, rhos)):
+        for p, branch in apply_selective(ch, rho.matrix):
+            owners.append(i)
+            weights.append(p)
+            branches.append(branch)
+    before = measure.evaluate(_stack(rhos))
+    weighted = np.asarray(weights) * measure.evaluate(np.stack(branches))
+    after = np.zeros(len(trials))
+    for i, value in zip(owners, weighted.tolist()):  # each trial's branches in order
+        after[i] += value
+    slack = before - after
+    return _block(
+        slack,
+        slack < -cfg.tol,
+        _mapped_witness(rhos, channels, before, after),
+    )
+
+
+def _c4_block(measure_name: str, cfg: TrialConfig, trials: range) -> _Block:
+    measure = measure_by_name(measure_name, dim=cfg.dim)
+    rngs = _trial_rngs(cfg, trials)
+    rhos_a = [_random_input(rng, cfg.dim, measure_name) for rng in rngs]
+    rhos_b = [_random_input(rng, cfg.dim, measure_name) for rng in rngs]
+    lam = np.array([float(rng.uniform()) for rng in rngs])
+    a, b = _stack(rhos_a), _stack(rhos_b)
+    mixed = lam[:, None, None] * a + (1.0 - lam)[:, None, None] * b
+    before = lam * measure.evaluate(a) + (1.0 - lam) * measure.evaluate(b)
     after = measure.evaluate(mixed)
     slack = before - after
-    violation = slack < -cfg.tol
-    witness = None
-    if violation:
-        witness = ViolationWitness(
-            state=mixed,
+    return _block(
+        slack,
+        slack < -cfg.tol,
+        lambda i: ViolationWitness(
+            state=DensityMatrix(mixed[i], check_psd=False),
             channel=None,
-            value_before=before,
-            value_after=after,
-            aux={"state_a": rho_a.to_dict(), "state_b": rho_b.to_dict(), "lam": lam},
-        )
-    return _TrialOutcome(slack, violation, witness)
-
-
-def _lemma1_trial(measure_name: str, cfg: TrialConfig, trial: int) -> _TrialOutcome:
-    rng = _trial_rng(cfg.seed, trial)
-    measure = measure_by_name(measure_name, dim=cfg.dim)
-    rho = _random_input(rng, cfg.dim, measure_name)
-    unitary = random_incoherent_unitary(cfg.dim, rng)
-    before = measure.evaluate(rho)
-    after = measure.evaluate(unitary.conjugate(rho))
-    slack = cfg.tol - abs(after - before)
-    violation = slack < 0
-    witness = (
-        ViolationWitness(state=rho, channel=unitary, value_before=before, value_after=after)
-        if violation
-        else None
+            value_before=float(before[i]),
+            value_after=float(after[i]),
+            aux={"state_a": rhos_a[i].to_dict(), "state_b": rhos_b[i].to_dict(), "lam": float(lam[i])},
+        ),
     )
-    return _TrialOutcome(slack, violation, witness)
 
 
-def _lemma2_trial(measure_name: str, cfg: TrialConfig, trial: int) -> _TrialOutcome:
-    rng = _trial_rng(cfg.seed, trial)
+def _lemma1_block(measure_name: str, cfg: TrialConfig, trials: range) -> _Block:
+    measure = measure_by_name(measure_name, dim=cfg.dim)
+    rngs = _trial_rngs(cfg, trials)
+    rhos = [_random_input(rng, cfg.dim, measure_name) for rng in rngs]
+    unitaries = [random_incoherent_unitary(cfg.dim, rng) for rng in rngs]
+    before = measure.evaluate(_stack(rhos))
+    after = measure.evaluate(np.stack([u.conjugate(rho.matrix) for u, rho in zip(unitaries, rhos)]))
+    slack = cfg.tol - np.abs(after - before)
+    return _block(
+        slack,
+        slack < 0,
+        _mapped_witness(rhos, unitaries, before, after),
+    )
+
+
+def _lemma2_trial(cfg: TrialConfig, trial: int, rng: np.random.Generator):
+    """(slack, witness) of one trial: slack None when exempt, witness None unless violating."""
     # Half the inputs are maximally coherent, half generic.
     if trial % 2 == 0:
         rho = from_pure(mcs_sample(cfg.dim, rng))
@@ -328,26 +378,25 @@ def _lemma2_trial(measure_name: str, cfg: TrialConfig, trial: int) -> _TrialOutc
     else:
         channel = _random_channel(rng, cfg)
     out = apply_channel(channel, rho)
-    exempt = is_cpo(channel, cfg.tol) and is_mcs(rho, cfg.tol)
-    if exempt:
-        return _TrialOutcome(None, False, None)
+    if is_cpo(channel, cfg.tol) and is_mcs(rho, cfg.tol):
+        return None, None
     out_dev = mcs_deviation(out)
     slack = out_dev - cfg.tol
-    violation = slack < 0
     witness = None
-    if violation:
+    if slack < 0:
         witness = ViolationWitness(
             state=rho,
             channel=channel,
             value_before=mcs_deviation(rho),
             value_after=out_dev,
         )
-    return _TrialOutcome(slack, violation, witness)
+    return slack, witness
 
 
 @lru_cache(maxsize=16)
-def _probe_panel(dim: int, seed: int, count: int):
-    """Fixed probe states: equal-weight basis pairs first, Haar samples after."""
+def _probe_panel(dim: int, seed: int, count: int) -> np.ndarray:
+    """Fixed probe amplitudes, one per row (count, dim): equal-weight basis
+    pairs first, Haar samples after.  Read-only, since it is cached."""
     probes = []
     for i in range(dim):
         for j in range(i + 1, dim):
@@ -355,27 +404,27 @@ def _probe_panel(dim: int, seed: int, count: int):
                 break
             amp = np.zeros(dim, dtype=np.complex128)
             amp[i] = amp[j] = 1.0 / np.sqrt(2.0)
-            probes.append(PureState(amp))
+            probes.append(amp)
     idx = 0
     while len(probes) < count:
-        probes.append(random_pure(dim, np.random.default_rng([seed, 104729, idx])))
+        probes.append(random_pure(dim, np.random.default_rng([seed, 104729, idx])).amplitudes)
         idx += 1
-    return tuple(probes)
+    panel = np.array(probes[:count])
+    panel.flags.writeable = False
+    return panel
 
 
-def _panel_deviation(channel: KrausChannel, probes) -> float:
-    """Largest change of either reference measure across the probe panel."""
-    dev = 0.0
-    for psi in probes:
-        out = apply_channel(channel, from_pure(psi))
-        p = psi.probabilities
-        dev = max(dev, abs(m_mod.c_l1(out) - m_mod.l1_pure(p)))
-        dev = max(dev, abs(m_mod.c_rel_ent(out) - m_mod.rel_ent_pure(p)))
-    return dev
+def _panel_deviation(channel: KrausChannel, probes: np.ndarray) -> float:
+    """Largest change of either reference measure across the probe panel (P, d)."""
+    out = apply_channel(channel, probes[:, :, None] * probes[:, None, :].conj())
+    p = np.abs(probes) ** 2
+    l1_dev = np.abs(m_mod.c_l1(out) - m_mod.l1_pure(p))
+    rel_ent_dev = np.abs(m_mod.c_rel_ent(out) - m_mod.rel_ent_pure(p))
+    return float(max(0.0, l1_dev.max(), rel_ent_dev.max()))
 
 
-def _theorem3_trial(measure_name: str, cfg: TrialConfig, trial: int) -> _TrialOutcome:
-    rng = _trial_rng(cfg.seed, trial)
+def _theorem3_trial(cfg: TrialConfig, trial: int, rng: np.random.Generator):
+    """(slack, witness) of one trial: slack None when inconclusive, witness None unless violating."""
     probes = _probe_panel(cfg.dim, cfg.seed, PROBE_COUNT)
     lo, hi = cfg.n_kraus_range
     lo = max(2, lo)
@@ -386,7 +435,7 @@ def _theorem3_trial(measure_name: str, cfg: TrialConfig, trial: int) -> _TrialOu
             channel = candidate
             break
     if channel is None:  # vanishing-probability fallback; count as inconclusive
-        return _TrialOutcome(None, False, None)
+        return None, None
     dev = _panel_deviation(channel, probes)
     masquerade = dev <= cfg.tol
 
@@ -395,36 +444,50 @@ def _theorem3_trial(measure_name: str, cfg: TrialConfig, trial: int) -> _TrialOu
     cpo_broken = cpo_dev > CPO_PRESERVE_TOL
 
     slack = min(dev - cfg.tol, CPO_PRESERVE_TOL - cpo_dev)
-    violation = masquerade or cpo_broken
     witness = None
-    if violation:
+    if masquerade or cpo_broken:
         offender = channel if masquerade else cpo
-        probe = probes[0]
-        out = apply_channel(channel if masquerade else cpo.as_channel(), from_pure(probe))
+        probe = from_pure(PureState(probes[0]))
+        out = apply_channel(channel if masquerade else cpo.as_channel(), probe)
         witness = ViolationWitness(
-            state=from_pure(probe),
+            state=probe,
             channel=offender,
-            value_before=float(m_mod.l1_pure(probe.probabilities)),
-            value_after=m_mod.c_l1(out),
+            value_before=float(m_mod.l1_pure(np.abs(probes[0]) ** 2)),
+            value_after=float(m_mod.c_l1(out)),
             aux={"panel_deviation": dev, "cpo_deviation": cpo_dev, "measure": "l1"},
         )
-    return _TrialOutcome(slack, violation, witness)
+    return slack, witness
 
 
-_TRIAL_FNS = {
-    "C1": _c1_trial,
-    "C2": _c2_trial,
-    "C3": _c3_trial,
-    "C4": _c4_trial,
-    "LEMMA1": _lemma1_trial,
-    "LEMMA2": _lemma2_trial,
-    "THEOREM3": _theorem3_trial,
+def _trialwise(trial_fn):
+    """Block function of a criterion whose trials run one at a time."""
+
+    def run(measure_name: str, cfg: TrialConfig, trials: range) -> _Block:
+        outcomes = [trial_fn(cfg, t, rng) for t, rng in zip(trials, _trial_rngs(cfg, trials))]
+        return _block(
+            slack=np.array([0.0 if s is None else s for s, _ in outcomes]),
+            violation=np.array([w is not None for _, w in outcomes], dtype=bool),
+            make_witness=lambda i: outcomes[i][1],
+            counted=np.array([s is not None for s, _ in outcomes], dtype=bool),
+        )
+
+    return run
+
+
+_BLOCK_FNS = {
+    "C1": _c1_block,
+    "C2": _c2_block,
+    "C3": _c3_block,
+    "C4": _c4_block,
+    "LEMMA1": _lemma1_block,
+    "LEMMA2": _trialwise(_lemma2_trial),
+    "THEOREM3": _trialwise(_theorem3_trial),
 }
 
 
 def _run_chunk(criterion: str, measure_name: str, cfg: TrialConfig, lo: int, hi: int):
-    fn = _TRIAL_FNS[criterion]
-    return [fn(measure_name, cfg, i) for i in range(lo, hi)]
+    fn = _BLOCK_FNS[criterion]
+    return [fn(measure_name, cfg, range(a, min(a + TRIAL_BLOCK, hi))) for a in range(lo, hi, TRIAL_BLOCK)]
 
 
 def _pool_size(jobs: int, cpus: int, n_chunks: int) -> int:
@@ -440,44 +503,32 @@ def _run_trials(criterion: str, measure_name: str, cfg: TrialConfig, jobs: int):
     workers = _pool_size(jobs, os.cpu_count() or 1, len(chunks))
     if workers == 1:
         return _run_chunk(criterion, measure_name, cfg, 0, cfg.n_trials)
-    outcomes = []
+    blocks = []
     with ProcessPoolExecutor(max_workers=workers) as pool:
         futures = [pool.submit(_run_chunk, criterion, measure_name, cfg, a, b) for a, b in chunks]
         for fut in futures:  # submission order == trial order
-            outcomes.extend(fut.result())
-    return outcomes
+            blocks.extend(fut.result())
+    return blocks
 
 
-def _assemble(
-    criterion: str,
-    measure_name: str,
-    cfg: TrialConfig,
-    outcomes,
-    max_value: Optional[float] = None,
-) -> CriterionReport:
-    slacks = [(o.slack, o) for o in outcomes if o.slack is not None]
-    violations = sum(1 for o in outcomes if o.violation)
-    worst = min((s for s, _ in slacks), default=0.0)
-    witness = None
-    violating = [(s, o) for s, o in slacks if o.violation and o.witness is not None]
-    if violating:
-        witness = min(violating, key=lambda pair: pair[0])[1].witness
+def _check(criterion: str, measure_name: str, cfg: TrialConfig, jobs: int) -> CriterionReport:
+    blocks = _run_trials(criterion, measure_name, cfg, jobs)
+    slack = np.concatenate([b.slack for b in blocks])
+    counted = np.concatenate([b.counted for b in blocks])
+    violation = np.concatenate([b.violation for b in blocks])
+    # the witness of least slack over the blocks, the first one on ties
+    least = [(b.slack[b.violation].min(), i) for i, b in enumerate(blocks) if b.witness is not None]
+    witness = blocks[min(least)[1]].witness if least else None
     return CriterionReport(
         criterion=criterion,
         measure=measure_name,
         dim=cfg.dim,
         trials=cfg.n_trials,
-        violations=violations,
-        worst_violation=float(worst),
+        violations=int(np.count_nonzero(violation)),
+        worst_violation=float(slack[counted].min()) if counted.any() else 0.0,
         witness=witness,
         seed=cfg.seed,
-        max_value=max_value,
     )
-
-
-def _check(criterion: str, measure_name: str, cfg: TrialConfig, jobs: int) -> CriterionReport:
-    outcomes = _run_trials(criterion, measure_name, cfg, jobs)
-    return _assemble(criterion, measure_name, cfg, outcomes)
 
 
 def check_c1(measure: str, cfg: TrialConfig, jobs: int = 1) -> CriterionReport:
@@ -612,20 +663,21 @@ def check_c5(measure: str, dim: int, opt: Optional[OptimizerConfig] = None) -> C
     for val, psi in candidates:
         if val < best_val - C5_NEAR_MAX_WINDOW:
             continue
-        deviation = mcs_deviation(from_pure(psi))
+        rho = from_pure(psi)
+        deviation = mcs_deviation(rho)
         slack = C5_MCS_TOL - deviation
         slacks.append(slack)
         if slack < 0:
-            offenders.append((slack, val, psi))
+            offenders.append((slack, val, rho, deviation))
 
     witness = None
     if offenders:
-        slack, val, psi = min(offenders, key=lambda t: t[0])
+        _, val, rho, deviation = min(offenders, key=lambda t: t[0])
         witness = ViolationWitness(
-            state=from_pure(psi),
+            state=rho,
             channel=None,
             value_before=val,
-            value_after=mcs_deviation(from_pure(psi)),
+            value_after=deviation,
             aux={"max_value": best_val},
         )
     return CriterionReport(

@@ -45,14 +45,6 @@ class McsDescriptor:
         amp = np.exp(1j * np.array(self.phases)) / np.sqrt(self.dim)
         return PureState(amp)
 
-    @classmethod
-    def from_state(cls, psi: PureState, tol: float = 1e-10) -> "McsDescriptor":
-        """Extract phases from a uniform-modulus state; BadDimError if moduli aren't 1/sqrt(d)."""
-        mags = np.abs(psi.amplitudes)
-        if np.max(np.abs(mags - 1.0 / np.sqrt(psi.dim))) > tol:
-            raise BadDimError("state does not have uniform amplitude moduli")
-        return cls(dim=psi.dim, phases=tuple(np.angle(psi.amplitudes)))
-
 
 def mcs_deviation(rho: DensityMatrix) -> float:
     """How far rho is from the maximally coherent set: max of the purity

@@ -17,6 +17,12 @@ Implemented measures:
   coherent state, which is exactly what the maximal-value criterion
   is designed to exclude.
 
+Each ``c_*`` measure takes a DensityMatrix, for which it returns the value,
+or an array stack ``(..., d, d)`` of density matrices, which it validates
+once (``states.density_matrices``) and for which it returns the ``(...)``
+values; each row rounds as the matrix would alone.  The ``*_pure`` forms
+take basis probabilities ``(..., d)``.
+
 Entropies use base-2 logarithms throughout, with 0 log 0 = 0 and a 1e-15
 floor inside logs.
 """
@@ -30,7 +36,7 @@ import numpy as np
 
 from . import numerics, states
 from .errors import BadParamsError, DimMismatchError, OptimizerFailedError
-from .states import DensityMatrix, PureState, is_incoherent, off_diagonal_mass
+from .states import DensityMatrix, PureState, density_matrices, off_diagonal_mass
 
 _LOG_FLOOR = 1e-15
 
@@ -109,7 +115,7 @@ class Ensemble:
 # ---------------------------------------------------------------------------
 
 
-def c_l1(rho: DensityMatrix) -> float:
+def c_l1(rho: DensityMatrix | np.ndarray):
     """Off-diagonal l1 mass; ranges from 0 (incoherent) to d-1."""
     return off_diagonal_mass(rho)
 
@@ -119,9 +125,11 @@ def l1_pure(p: np.ndarray):
     return np.sqrt(p).sum(axis=-1) ** 2 - p.sum(axis=-1)
 
 
-def c_rel_ent(rho: DensityMatrix) -> float:
+def c_rel_ent(rho: DensityMatrix | np.ndarray):
     """Entropy gained by dephasing: H(diag) - H(spectrum), in bits."""
-    return float(shannon_entropy(rho.diagonal) - shannon_entropy(rho.eigen.eigenvalues))
+    m = density_matrices(rho)
+    diagonal = np.diagonal(m, axis1=-2, axis2=-1).real
+    return shannon_entropy(diagonal) - shannon_entropy(numerics.psd_eigen(m).eigenvalues)
 
 
 def rel_ent_pure(p: np.ndarray):
@@ -129,23 +137,25 @@ def rel_ent_pure(p: np.ndarray):
     return shannon_entropy(p)
 
 
-def c_trivial(rho: DensityMatrix) -> float:
+def c_trivial(rho: DensityMatrix | np.ndarray):
     """0 on incoherent states, 1 on everything else."""
-    return 0.0 if is_incoherent(rho, states.INCOHERENCE_TOL) else 1.0
+    return (off_diagonal_mass(rho) > states.INCOHERENCE_TOL).astype(np.float64)
 
 
 def trivial_pure(p: np.ndarray):
     return (l1_pure(p) > states.INCOHERENCE_TOL).astype(np.float64)
 
 
-def c_skew(rho: DensityMatrix, k: DiagonalObservable) -> float:
+def c_skew(rho: DensityMatrix | np.ndarray, k: DiagonalObservable):
     """Skew information -1/2 tr([sqrt(rho), K]^2) for diagonal K."""
-    if k.dim != rho.dim:
-        raise DimMismatchError(f"observable dim {k.dim} != state dim {rho.dim}")
-    s = numerics.psd_sqrt(rho.matrix)
+    m = density_matrices(rho)
+    if k.dim != m.shape[-1]:
+        raise DimMismatchError(f"observable dim {k.dim} != state dim {m.shape[-1]}")
+    s = numerics.psd_sqrt(m)
     kv = k.values
-    direct = float(rho.diagonal @ (kv**2))
-    crossed = float(kv @ (np.abs(s) ** 2) @ kv)
+    # vecdot, not matmul: each row rounds as a one-matrix dot product does
+    direct = np.vecdot(np.diagonal(m, axis1=-2, axis2=-1).real, kv**2)
+    crossed = np.vecdot(kv @ (np.abs(s) ** 2), kv)
     return direct - crossed
 
 
@@ -289,12 +299,21 @@ def convex_roof_ensemble(
     return float(best_val), ensemble
 
 
-def c_int_rand(rho: DensityMatrix, opt: Optional[OptimizerConfig] = None) -> float:
-    """Intrinsic randomness: rel_ent on pure states, convex-roof estimate otherwise."""
-    if rho.purity >= 1.0 - 1e-10:
-        return c_rel_ent(rho)
-    value, _ = convex_roof_ensemble(rho, opt)
-    return value
+def c_int_rand(rho: DensityMatrix | np.ndarray, opt: Optional[OptimizerConfig] = None):
+    """Intrinsic randomness: rel_ent on pure states, convex-roof estimate otherwise.
+
+    On a stack, the pure matrices go through ``c_rel_ent`` together and the
+    optimizer runs on the mixed ones one at a time.
+    """
+    m = density_matrices(rho)
+    flat = m.reshape(-1, *m.shape[-2:])
+    pure = (flat.real**2 + flat.imag**2).sum(axis=(-2, -1)) >= 1.0 - 1e-10
+    values = np.empty(len(flat))
+    if pure.any():
+        values[pure] = c_rel_ent(flat[pure])
+    for i in np.flatnonzero(~pure):
+        values[i], _ = convex_roof_ensemble(DensityMatrix(flat[i], check_psd=False), opt)
+    return values.reshape(m.shape[:-2])[()]
 
 
 # ---------------------------------------------------------------------------
@@ -304,10 +323,14 @@ def c_int_rand(rho: DensityMatrix, opt: Optional[OptimizerConfig] = None) -> flo
 
 @dataclasses.dataclass(frozen=True)
 class Measure:
-    """Named evaluator: ``evaluate`` takes a density matrix, ``evaluate_pure`` the
-    basis probabilities ``p = |psi|^2`` of a pure state (``PureState.probabilities``),
-    all a pure-state value depends on by invariance under relabelings with phases,
-    or a stack ``(..., d)`` of them, for which it returns the ``(...)`` row values."""
+    """Named evaluator.
+
+    ``evaluate`` takes a DensityMatrix, or a stack ``(..., d, d)`` of density
+    matrices for which it returns the ``(...)`` values, validating the stack
+    once.  ``evaluate_pure`` takes the basis probabilities ``p = |psi|^2`` of
+    a pure state (``PureState.probabilities``), all a pure-state value
+    depends on by invariance under relabelings with phases, or a stack
+    ``(..., d)`` of them, for which it returns the ``(...)`` row values."""
 
     name: str
     evaluate: Callable[[DensityMatrix], float]

@@ -1,8 +1,10 @@
 """Dense complex linear algebra for small matrices (dimension 2 to MAX_DIM = 16).
 
-Matrices are plain ``numpy.ndarray`` of complex128 in row-major order.
-Every spectral computation in the package goes through
-``hermitian_eigen``, a thin validated wrapper over LAPACK's ``eigh``.
+Matrices are plain ``numpy.ndarray`` of complex128 in row-major order;
+where a function says so, it also takes a stack ``(..., d, d)`` of them and
+validates the whole stack at once.  Every spectral computation in the
+package goes through ``hermitian_eigen``, a thin validated wrapper over
+LAPACK's ``eigh`` that makes one call per stack.
 """
 
 from __future__ import annotations
@@ -11,7 +13,13 @@ import dataclasses
 
 import numpy as np
 
-from .errors import BadDimError, NonHermitianError, NonSquareError, NotPSDError
+from .errors import (
+    BadDimError,
+    NonFiniteError,
+    NonHermitianError,
+    NonSquareError,
+    NotPSDError,
+)
 
 # Largest dimension a state or channel file may declare.
 MAX_DIM = 16
@@ -34,50 +42,80 @@ def frobenius(a: np.ndarray) -> float:
 
 
 def dagger(a: np.ndarray) -> np.ndarray:
-    """Conjugate transpose."""
-    return a.conj().T
+    """Conjugate transpose of a matrix, or of each matrix in a stack (..., d, d)."""
+    return np.swapaxes(a.conj(), -1, -2)
 
 
 def as_square_matrix(a, name: str = "matrix") -> np.ndarray:
-    """Coerce to a square complex ndarray, raising NonSquareError otherwise."""
+    """Coerce to a complex square matrix, or a stack (..., d, d) of them.
+
+    Raises NonSquareError unless the last two axes are equal, and
+    NonFiniteError on a NaN or infinite entry.
+    """
     m = np.asarray(a, dtype=np.complex128)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise NonSquareError(f"{name} must be square, got shape {m.shape}")
-    if not np.all(np.isfinite(m.view(np.float64))):
-        raise ValueError(f"{name} has non-finite entries")
+    if not np.isfinite(m).all():
+        raise NonFiniteError(f"{name} has non-finite entries")
+    return m
+
+
+def _squared_norms(m: np.ndarray) -> np.ndarray:
+    """Squared Frobenius norm of each matrix in a stack (..., d, d)."""
+    flat = m.reshape(*m.shape[:-2], -1)
+    return np.vecdot(flat, flat).real
+
+
+def as_hermitian(a, name: str = "matrix") -> np.ndarray:
+    """``as_square_matrix``, then NonHermitianError unless every matrix is
+    Hermitian within 1e-10 relative Frobenius."""
+    m = as_square_matrix(a, name)
+    scale = np.maximum(1.0, _squared_norms(m))
+    if (_squared_norms(m - dagger(m)) > 1e-20 * scale).any():
+        raise NonHermitianError(f"{name} is not Hermitian within 1e-10")
     return m
 
 
 @dataclasses.dataclass(frozen=True)
 class HermitianEigen:
-    """Spectral decomposition A = V diag(w) V† with eigenvalues ascending."""
+    """Spectral decomposition A = V diag(w) V† with eigenvalues ascending,
+    of one matrix or of each matrix in a stack."""
 
-    eigenvalues: np.ndarray  # real, ascending
-    eigenvectors: np.ndarray  # unitary; column k pairs with eigenvalues[k]
+    eigenvalues: np.ndarray  # (..., d) real, ascending
+    eigenvectors: np.ndarray  # (..., d, d) unitary; column k pairs with eigenvalues[..., k]
 
     def reconstruct(self) -> np.ndarray:
         v = self.eigenvectors
-        return (v * self.eigenvalues) @ dagger(v)
+        return (v * self.eigenvalues[..., None, :]) @ dagger(v)
 
 
 def hermitian_eigen(a) -> HermitianEigen:
-    """Diagonalize a Hermitian matrix with LAPACK (``numpy.linalg.eigh``).
+    """Diagonalize a Hermitian matrix, or a stack (..., d, d) of them, with
+    one call to LAPACK (``numpy.linalg.eigh``).
 
     The solver runs on the exact Hermitian part ``(a + a†)/2``, which removes
     representation noise below the tolerance.  Raises NonHermitianError when
-    ``a`` is not Hermitian within 1e-10 relative Frobenius, NonSquareError
-    when not square.
+    some matrix is not Hermitian within 1e-10 relative Frobenius,
+    NonSquareError when not square, NonFiniteError on a non-finite entry.
     """
-    a = as_square_matrix(a)
-    scale = max(1.0, frobenius(a))
-    if frobenius(a - dagger(a)) > 1e-10 * scale:
-        raise NonHermitianError("matrix is not Hermitian within 1e-10")
+    a = as_hermitian(a)
     eigenvalues, eigenvectors = np.linalg.eigh((a + dagger(a)) / 2.0)
     return HermitianEigen(eigenvalues=eigenvalues, eigenvectors=eigenvectors)
 
 
+def psd_eigen(a, name: str = "matrix") -> HermitianEigen:
+    """``hermitian_eigen`` of a positive semidefinite matrix or stack: raises
+    NotPSDError when some eigenvalue lies below -PSD_FLOOR."""
+    eig = hermitian_eigen(a)
+    lowest = eig.eigenvalues[..., :1]
+    if lowest.size and lowest.min() < -PSD_FLOOR:
+        raise NotPSDError(f"{name} eigenvalue {lowest.min():.3e} below -{PSD_FLOOR:.0e}")
+    return eig
+
+
 def psd_sqrt(a) -> np.ndarray:
-    """Hermitian square root of a positive semidefinite matrix.
+    """Hermitian square root of a positive semidefinite matrix, or of each
+    matrix in a stack (..., d, d), from one ``psd_eigen`` call.
 
     Eigenvalues in [-1e-9, 0) are clamped to zero; anything below -1e-9
     raises NotPSDError.  Positive eigenvalues below 1e-13 relative to the
@@ -85,14 +123,12 @@ def psd_sqrt(a) -> np.ndarray:
     otherwise turn O(eps) spectral noise of an exactly singular input into
     O(sqrt(eps)) output noise.
     """
-    eig = hermitian_eigen(a)
+    eig = psd_eigen(a)
     w = eig.eigenvalues
-    if w[0] < -PSD_FLOOR:
-        raise NotPSDError(f"eigenvalue {w[0]:.3e} below -{PSD_FLOOR:.0e}")
-    noise_floor = 1e-13 * max(1.0, w[-1]) if w.size else 0.0
+    noise_floor = 1e-13 * np.maximum(1.0, w[..., -1:])
     root = np.sqrt(np.where(w > noise_floor, w, 0.0))
     v = eig.eigenvectors
-    s = (v * root) @ dagger(v)
+    s = (v * root[..., None, :]) @ dagger(v)
     return (s + dagger(s)) / 2.0
 
 

@@ -14,8 +14,8 @@ from functools import cached_property
 import numpy as np
 
 from . import numerics
-from .errors import BadDimError, BadRankError, NotNormalizedError, NotPSDError
-from .numerics import dagger, frobenius
+from .errors import BadDimError, BadRankError, NonSquareError, NotNormalizedError
+from .numerics import dagger
 
 # Two pure states are "the same" when |<psi|phi>| >= 1 - PHASE_EQ_TOL.
 PHASE_EQ_TOL = 1e-10
@@ -85,13 +85,9 @@ class DensityMatrix:
     check_psd: InitVar[bool] = True
 
     def __post_init__(self, check_psd: bool):
-        m = numerics.as_square_matrix(self.matrix, "density matrix")
-        scale = max(1.0, frobenius(m))
-        if frobenius(m - dagger(m)) > 1e-10 * scale:
-            raise ValueError("density matrix is not Hermitian within 1e-10")
-        tr = complex(np.trace(m))
-        if abs(tr - 1.0) > 1e-10:
-            raise ValueError(f"trace {tr} is not 1 within 1e-10")
+        m = density_matrices(self.matrix)
+        if m.ndim != 2:
+            raise NonSquareError(f"density matrix must be d x d, got shape {m.shape}")
         object.__setattr__(self, "matrix", m)
         if check_psd:
             self.eigen  # noqa: B018 -- forces the spectral floor check
@@ -102,12 +98,7 @@ class DensityMatrix:
 
     @cached_property
     def eigen(self) -> numerics.HermitianEigen:
-        eig = numerics.hermitian_eigen(self.matrix)
-        if eig.eigenvalues[0] < -numerics.PSD_FLOOR:
-            raise NotPSDError(
-                f"density matrix eigenvalue {eig.eigenvalues[0]:.3e} below -1e-9"
-            )
-        return eig
+        return numerics.psd_eigen(self.matrix, "density matrix")
 
     @cached_property
     def purity(self) -> float:
@@ -127,21 +118,50 @@ class DensityMatrix:
         }
 
 
+def density_matrices(rho: DensityMatrix | np.ndarray) -> np.ndarray:
+    """The matrix of a DensityMatrix, or a stack ``(..., d, d)`` of density
+    matrices validated as DensityMatrix validates one.
+
+    Each matrix must be square and finite (NonSquareError, NonFiniteError),
+    Hermitian within 1e-10 relative Frobenius (NonHermitianError) and of
+    unit trace within 1e-10 (NotNormalizedError).  As with
+    ``check_psd=False``, the spectral floor is enforced where a spectrum is
+    computed.  This is the input adapter of every stack-evaluating measure.
+    """
+    if isinstance(rho, DensityMatrix):
+        return rho.matrix
+    m = numerics.as_hermitian(rho, "density matrix")
+    tr = np.trace(m, axis1=-2, axis2=-1)
+    off = np.abs(tr - 1.0) > 1e-10
+    if off.any():
+        raise NotNormalizedError(f"trace {tr[off].flat[0]} is not 1 within 1e-10")
+    return m
+
+
 def from_pure(psi: PureState) -> DensityMatrix:
     """Rank-1 projector |psi><psi|."""
     amp = psi.amplitudes
     return DensityMatrix(np.outer(amp, amp.conj()), check_psd=False)
 
 
-def dephase(rho: DensityMatrix) -> DensityMatrix:
-    """Project onto the diagonal (the incoherent set); idempotent and trace preserving."""
-    return DensityMatrix(np.diag(np.diag(rho.matrix)), check_psd=False)
+def dephase(rho: DensityMatrix | np.ndarray):
+    """Project onto the diagonal (the incoherent set); idempotent and trace preserving.
+
+    Takes a DensityMatrix and returns one, or takes an array stack
+    ``(..., d, d)``, as it is, and returns the dephased stack.
+    """
+    m = rho.matrix if isinstance(rho, DensityMatrix) else rho
+    out = np.zeros_like(m)
+    i = np.arange(m.shape[-1])
+    out[..., i, i] = m[..., i, i]
+    return DensityMatrix(out, check_psd=False) if isinstance(rho, DensityMatrix) else out
 
 
-def off_diagonal_mass(rho: DensityMatrix) -> float:
-    """Entrywise l1 mass of the off-diagonal part."""
-    m = np.abs(rho.matrix)
-    return float(m.sum() - np.trace(m))
+def off_diagonal_mass(rho: DensityMatrix | np.ndarray):
+    """Entrywise l1 mass of the off-diagonal part of a density matrix, or of
+    each matrix in a stack ``(..., d, d)``."""
+    m = np.abs(density_matrices(rho))
+    return m.sum(axis=(-2, -1)) - np.trace(m, axis1=-2, axis2=-1)
 
 
 def is_incoherent(rho: DensityMatrix, tol: float = INCOHERENCE_TOL) -> bool:
@@ -172,15 +192,6 @@ def fidelity_pure(rho: DensityMatrix, target: PureState) -> float:
     """<target|rho|target>: closeness of rho to a pure target."""
     amp = target.amplitudes
     return float(np.vdot(amp, rho.matrix @ amp).real)
-
-
-def mix(states_and_weights) -> DensityMatrix:
-    """Convex combination sum_k w_k rho_k of density matrices."""
-    acc = None
-    for weight, rho in states_and_weights:
-        term = weight * rho.matrix
-        acc = term if acc is None else acc + term
-    return DensityMatrix(acc, check_psd=False)
 
 
 def state_from_dict(payload: dict):

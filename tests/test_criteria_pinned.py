@@ -89,3 +89,14 @@ def test_criteria_pinned(case):
 
 def test_pins_cover_every_case():
     assert sorted(_PINS) == sorted(pin_key(*case) for case in CASES)
+
+
+@pytest.mark.parametrize(
+    "case", [c for c in CASES if c[2] == 3 and c[3] == 7], ids=lambda case: pin_key(*case)
+)
+def test_reports_do_not_depend_on_block_size(case, monkeypatch):
+    reports = []
+    for block in (256, 3, 1):
+        monkeypatch.setattr(harness, "TRIAL_BLOCK", block)
+        reports.append(json.dumps(run_case(*case).to_dict()))
+    assert reports[0] == reports[1] == reports[2]

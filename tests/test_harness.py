@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coherence_lab import harness
 from coherence_lab.channels import IncoherentUnitary, KrausChannel, apply_channel
@@ -59,6 +61,31 @@ def test_parallel_runs_match_sequential():
     seq = check_c3("l1", cfg, jobs=1)
     par = check_c3("l1", cfg, jobs=2)
     assert seq.to_dict() == par.to_dict()
+
+
+_JOB_CHECKS = {
+    "C1": check_c1,
+    "C2": check_c2,
+    "C3": check_c3,
+    "C4": check_c4,
+    "LEMMA1": check_lemma1,
+    "LEMMA2": lambda measure, cfg, jobs: check_lemma2(cfg, jobs),
+    "THEOREM3": lambda measure, cfg, jobs: check_theorem3(cfg, jobs),
+}
+
+
+@settings(max_examples=12, deadline=None)
+@given(
+    criterion=st.sampled_from(sorted(_JOB_CHECKS)),
+    measure=st.sampled_from(("l1", "rel_ent", "skew", "trivial")),
+    dim=st.integers(2, 5),
+    n=st.integers(1, 24),
+    seed=st.integers(0, 2**16),
+)
+def test_jobs_do_not_change_reports(criterion, measure, dim, n, seed):
+    cfg = small_cfg(dim=dim, n=n, seed=seed)
+    check = _JOB_CHECKS[criterion]
+    assert check(measure, cfg, jobs=1).to_dict() == check(measure, cfg, jobs=2).to_dict()
 
 
 def test_pool_size_is_capped_by_cpus_and_chunks():
@@ -434,8 +461,8 @@ def test_probe_panel_composition():
     probes = _probe_panel(3, seed=0, count=20)
     assert len(probes) == 20
     # the first C(3,2)=3 probes are the equal-weight basis pairs
-    for psi in probes[:3]:
-        mags = np.sort(np.abs(psi.amplitudes))
+    for amplitudes in probes[:3]:
+        mags = np.sort(np.abs(amplitudes))
         np.testing.assert_allclose(mags, [0.0, 1 / np.sqrt(2), 1 / np.sqrt(2)], atol=1e-12)
 
 

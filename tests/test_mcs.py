@@ -52,10 +52,6 @@ def test_mcs_descriptor_gauge_and_round_trip():
     assert desc.phases[0] == 0.0  # gauge-fixed
     psi = desc.realize()
     np.testing.assert_allclose(np.abs(psi.amplitudes), np.full(3, 1 / np.sqrt(3)), atol=1e-14)
-    back = McsDescriptor.from_state(psi)
-    np.testing.assert_allclose(back.phases, desc.phases, atol=1e-12)
-    with pytest.raises(BadDimError):
-        McsDescriptor.from_state(PureState(np.eye(3)[0]))
 
 
 def test_mcs_sample_membership_and_determinism():

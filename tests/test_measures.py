@@ -416,6 +416,44 @@ def test_pure_measures_evaluate_stacks_row_by_row(name, stack):
         np.testing.assert_array_equal(values, rows)
 
 
+@st.composite
+def density_stacks(draw):
+    """A stack (n, k, d, d) of random density matrices in d = 2..8, of ranks
+    1..d, some of them dephased (incoherent)."""
+    dim = draw(st.integers(2, 8))
+    n = draw(st.integers(1, 3))
+    k = draw(st.integers(1, 4))
+    ranks = draw(st.lists(st.integers(1, dim), min_size=n * k, max_size=n * k))
+    flat = draw(st.lists(st.booleans(), min_size=n * k, max_size=n * k))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rhos = [random_density(dim, rank, rng) for rank in ranks]
+    rhos = [dephase(rho) if f else rho for rho, f in zip(rhos, flat)]
+    return np.stack([rho.matrix for rho in rhos]).reshape(n, k, dim, dim)
+
+
+@pytest.mark.parametrize("name", ("l1", "rel_ent", "skew", "trivial"))
+@settings(max_examples=50, deadline=None)
+@given(stack=density_stacks())
+def test_measures_evaluate_density_stacks_row_by_row(name, stack):
+    m = measure_by_name(name, dim=stack.shape[-1])
+    values = m.evaluate(stack)
+    assert values.shape == stack.shape[:-2]
+    rows = np.array([[m.evaluate(DensityMatrix(x, check_psd=False)) for x in block] for block in stack])
+    if name == "skew":
+        np.testing.assert_allclose(values, rows, rtol=0, atol=1e-15)
+    else:
+        np.testing.assert_array_equal(values, rows)
+
+
+def test_int_rand_stack_takes_pure_rows_through_rel_ent():
+    opt = OptimizerConfig(restarts=2, seed=4)
+    rhos = [from_pure(random_pure(2, 31)), random_density(2, 2, 32), from_pure(random_pure(2, 33))]
+    values = c_int_rand(np.stack([rho.matrix for rho in rhos]), opt)
+    assert values.shape == (3,)
+    assert values[0] == c_rel_ent(rhos[0]) and values[2] == c_rel_ent(rhos[2])
+    assert values[1] == c_int_rand(rhos[1], opt) == convex_roof_ensemble(rhos[1], opt)[0]
+
+
 def test_l1_pure_identity():
     psi = random_pure(4, 1)
     a = np.abs(psi.amplitudes)

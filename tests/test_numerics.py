@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coherence_lab import numerics
-from coherence_lab.errors import NonHermitianError, NonSquareError, NotPSDError
+from coherence_lab.errors import NonFiniteError, NonHermitianError, NonSquareError, NotPSDError
 
 
 def random_hermitian(dim, seed):
@@ -82,6 +82,32 @@ def test_eigen_rejects_non_square():
 def test_eigen_rejects_non_hermitian():
     with pytest.raises(NonHermitianError):
         numerics.hermitian_eigen(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+
+def test_as_square_matrix_rejects_non_finite_entries():
+    with pytest.raises(NonFiniteError):
+        numerics.as_square_matrix(np.array([[1.0, np.nan], [0.0, 1.0]]))
+
+
+def test_spectral_calls_take_stacks_and_round_as_one_matrix():
+    mats = np.stack([random_hermitian(4, [9, i]) for i in range(6)]).reshape(2, 3, 4, 4)
+    eig = numerics.hermitian_eigen(mats)
+    assert eig.eigenvalues.shape == (2, 3, 4) and eig.eigenvectors.shape == (2, 3, 4, 4)
+    psd = mats @ mats  # squares of Hermitian matrices are PSD
+    roots = numerics.psd_sqrt(psd)
+    for i in range(2):
+        for j in range(3):
+            one = numerics.hermitian_eigen(mats[i, j])
+            np.testing.assert_array_equal(eig.eigenvalues[i, j], one.eigenvalues)
+            np.testing.assert_array_equal(eig.eigenvectors[i, j], one.eigenvectors)
+            np.testing.assert_array_equal(roots[i, j], numerics.psd_sqrt(psd[i, j]))
+    np.testing.assert_allclose(eig.reconstruct(), mats, atol=1e-12)
+    skewed = mats.copy()
+    skewed[1, 2, 0, 1] += 1.0
+    with pytest.raises(NonHermitianError):
+        numerics.hermitian_eigen(skewed)
+    with pytest.raises(NotPSDError):
+        numerics.psd_sqrt(np.stack([np.eye(2), np.diag([1.0, -1e-6])]))
 
 
 def test_density_matrix_spectrum_sums_to_one():

@@ -4,10 +4,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coherence_lab import states
-from coherence_lab.errors import BadDimError, BadRankError, NotNormalizedError
+from coherence_lab.errors import (
+    BadDimError,
+    BadRankError,
+    NonFiniteError,
+    NonHermitianError,
+    NonSquareError,
+    NotNormalizedError,
+)
 from coherence_lab.states import (
     DensityMatrix,
     PureState,
+    density_matrices,
     dephase,
     fidelity_pure,
     from_pure,
@@ -114,10 +122,33 @@ def test_random_density_ranks_and_determinism():
 
 
 def test_density_matrix_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(NotNormalizedError):
         DensityMatrix(np.diag([0.6, 0.6]))  # trace 1.2
-    with pytest.raises(ValueError):
+    with pytest.raises(NonHermitianError):
         DensityMatrix(np.array([[0.5, 0.5], [0.0, 0.5]]))  # not Hermitian
+    with pytest.raises(NonFiniteError):
+        DensityMatrix(np.diag([np.nan, 1.0]))
+
+
+@pytest.mark.parametrize(
+    "bad, error",
+    [
+        (np.diag([0.6, 0.6]), NotNormalizedError),
+        (np.array([[0.5, 0.5], [0.0, 0.5]]), NonHermitianError),
+        (np.diag([np.inf, 0.0]), NonFiniteError),
+    ],
+)
+def test_stack_validation_raises_the_per_object_types(bad, error):
+    good = np.eye(2) / 2
+    with pytest.raises(error):
+        DensityMatrix(bad)
+    with pytest.raises(error):
+        density_matrices(np.stack([good, bad]))
+    with pytest.raises(NonSquareError):
+        density_matrices(np.ones((3, 2, 3)))
+    with pytest.raises(NonSquareError):
+        DensityMatrix(np.stack([good, good]))  # a DensityMatrix is one matrix
+    np.testing.assert_array_equal(density_matrices(np.stack([good, good])), np.stack([good, good]))
 
 
 def test_state_json_round_trip():
