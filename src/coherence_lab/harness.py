@@ -414,13 +414,15 @@ def _probe_panel(dim: int, seed: int, count: int) -> np.ndarray:
     return panel
 
 
-def _panel_deviation(channel: KrausChannel, probes: np.ndarray) -> float:
-    """Largest change of either reference measure across the probe panel (P, d)."""
-    out = apply_channel(channel, probes[:, :, None] * probes[:, None, :].conj())
+def _panel_deviation(probes: np.ndarray, *channels: KrausChannel) -> np.ndarray:
+    """Largest change of either reference measure across the probe panel
+    (P, d), for each channel: all channels' outputs are measured as one stack."""
+    panel = probes[:, :, None] * probes[:, None, :].conj()
+    out = np.stack([apply_channel(ch, panel) for ch in channels])
     p = np.abs(probes) ** 2
     l1_dev = np.abs(m_mod.c_l1(out) - m_mod.l1_pure(p))
     rel_ent_dev = np.abs(m_mod.c_rel_ent(out) - m_mod.rel_ent_pure(p))
-    return float(max(0.0, l1_dev.max(), rel_ent_dev.max()))
+    return np.maximum(l1_dev, rel_ent_dev).max(axis=1)
 
 
 def _theorem3_trial(cfg: TrialConfig, trial: int, rng: np.random.Generator):
@@ -436,11 +438,9 @@ def _theorem3_trial(cfg: TrialConfig, trial: int, rng: np.random.Generator):
             break
     if channel is None:  # vanishing-probability fallback; count as inconclusive
         return None, None
-    dev = _panel_deviation(channel, probes)
-    masquerade = dev <= cfg.tol
-
     cpo = random_incoherent_unitary(cfg.dim, rng)
-    cpo_dev = _panel_deviation(cpo.as_channel(), probes)
+    dev, cpo_dev = _panel_deviation(probes, channel, cpo.as_channel()).tolist()
+    masquerade = dev <= cfg.tol
     cpo_broken = cpo_dev > CPO_PRESERVE_TOL
 
     slack = min(dev - cfg.tol, CPO_PRESERVE_TOL - cpo_dev)

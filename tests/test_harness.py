@@ -156,7 +156,7 @@ def test_projective_channel_fails_preservation_on_probes():
         ops.append(k)
     projective = KrausChannel(tuple(ops))
     probes = _probe_panel(dim, seed=0, count=20)
-    assert _panel_deviation(projective, probes) > 0.9  # plus-state values drop to zero
+    assert _panel_deviation(probes, projective)[0] > 0.9  # plus-state values drop to zero
 
 
 def test_cpo_channels_preserve_probe_values():
@@ -166,7 +166,7 @@ def test_cpo_channels_preserve_probe_values():
             perm=tuple(np.random.default_rng([5, i]).permutation(3).tolist()),
             phases=tuple(np.random.default_rng([6, i]).uniform(0, 2 * np.pi, 3).tolist()),
         )
-        assert _panel_deviation(u.as_channel(), probes) <= 1e-9
+        assert _panel_deviation(probes, u.as_channel())[0] <= 1e-9
 
 
 # ---------------------------------------------------------------------------
