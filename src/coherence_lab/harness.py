@@ -409,7 +409,7 @@ def _probe_panel(dim: int, seed: int, count: int) -> np.ndarray:
     while len(probes) < count:
         probes.append(random_pure(dim, np.random.default_rng([seed, 104729, idx])).amplitudes)
         idx += 1
-    panel = np.array(probes[:count])
+    panel = np.array(probes)
     panel.flags.writeable = False
     return panel
 

@@ -144,11 +144,15 @@ def test_stack_validation_raises_the_per_object_types(bad, error):
         DensityMatrix(bad)
     with pytest.raises(error):
         density_matrices(np.stack([good, bad]))
+
+
+def test_density_stacks_are_stacks_of_square_matrices():
+    good = np.stack([np.eye(2) / 2, np.diag([0.25, 0.75])])
+    np.testing.assert_array_equal(density_matrices(good), good)
     with pytest.raises(NonSquareError):
         density_matrices(np.ones((3, 2, 3)))
     with pytest.raises(NonSquareError):
-        DensityMatrix(np.stack([good, good]))  # a DensityMatrix is one matrix
-    np.testing.assert_array_equal(density_matrices(np.stack([good, good])), np.stack([good, good]))
+        DensityMatrix(good)  # a DensityMatrix is one matrix
 
 
 def test_state_json_round_trip():
