@@ -2,6 +2,10 @@
 
 The pins in ``criteria_pins.json`` were recorded from the per-trial
 implementation, which built and diagonalized one density matrix at a time.
+With channels of one Kraus operator allowed, the worst C2 and C3 slack of a
+valid measure is a rounding residue near 0, which a 1e-12 tolerance cannot
+tell apart from another; the ``K2-4`` cases draw 2 to 4 Kraus operators, so
+that their worst slacks depend on every trial's draws.
 Any later evaluation strategy must reproduce them: floats within 1e-12,
 verdicts, counts, strings and structure exactly.  The ``skew`` kernel
 takes a matrix square root and a quadratic form whose rounding can move
@@ -43,6 +47,9 @@ def _cases():
                 yield criterion, "int_rand", dim, seed
             yield "LEMMA2", None, dim, seed
             yield "THEOREM3", None, dim, seed
+            for criterion in ("C2", "C3"):
+                for measure in ("l1", "rel_ent"):
+                    yield f"K2-4/{criterion}", measure, dim, seed
 
 
 CASES = tuple(_cases())
@@ -57,7 +64,12 @@ def run_case(criterion, measure, dim, seed):
         return harness.check_lemma2(TrialConfig(dim=dim, n_trials=TRIALS, seed=seed))
     if criterion == "THEOREM3":
         return harness.check_theorem3(TrialConfig(dim=dim, n_trials=THEOREM3_TRIALS, seed=seed))
-    cfg = TrialConfig(dim=dim, n_trials=TRIALS, seed=seed, tol=harness.default_tol(measure))
+    kraus_range = (1, 4)
+    if criterion.startswith("K2-4/"):
+        criterion, kraus_range = criterion[len("K2-4/"):], (2, 4)
+    cfg = TrialConfig(
+        dim=dim, n_trials=TRIALS, seed=seed, tol=harness.default_tol(measure), n_kraus_range=kraus_range
+    )
     return _MEASURE_CHECKS[criterion](measure, cfg)
 
 

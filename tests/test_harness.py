@@ -88,6 +88,56 @@ def test_jobs_do_not_change_reports(criterion, measure, dim, n, seed):
     assert check(measure, cfg, jobs=1).to_dict() == check(measure, cfg, jobs=2).to_dict()
 
 
+def _per_trial_slacks(criterion, measure_name, cfg):
+    """The per-trial evaluation the blocks replaced, one DensityMatrix at a
+    time through the per-object API: the reference for the stacked checks."""
+    from coherence_lab.channels import apply_selective
+    from coherence_lab.states import dephase, off_diagonal_mass
+
+    measure = measure_by_name(measure_name, dim=cfg.dim)
+    slacks = []
+    for trial in range(cfg.n_trials):
+        rng = np.random.default_rng([cfg.seed, trial])
+        rho = harness._random_input(rng, cfg.dim, measure_name)
+        before = measure.evaluate(rho)
+        if criterion == "C1":
+            slack = harness.C1_ZERO_TOL - measure.evaluate(dephase(rho))
+            if off_diagonal_mass(rho) > harness.C1_MASS_FLOOR:
+                slack = min(slack, before - harness.C1_VALUE_FLOOR)
+        elif criterion == "C2":
+            slack = before - measure.evaluate(apply_channel(harness._random_channel(rng, cfg), rho))
+        elif criterion == "C3":
+            branches = apply_selective(harness._random_channel(rng, cfg), rho)
+            slack = before - sum(p * measure.evaluate(branch) for p, branch in branches)
+        elif criterion == "C4":
+            rho_b = harness._random_input(rng, cfg.dim, measure_name)
+            lam = float(rng.uniform())
+            mixed = DensityMatrix(lam * rho.matrix + (1.0 - lam) * rho_b.matrix, check_psd=False)
+            slack = lam * before + (1.0 - lam) * measure.evaluate(rho_b) - measure.evaluate(mixed)
+        else:
+            unitary = harness.random_incoherent_unitary(cfg.dim, rng)
+            slack = cfg.tol - abs(measure.evaluate(unitary.conjugate(rho)) - before)
+        slacks.append(slack)
+    return np.array(slacks)
+
+
+@pytest.mark.parametrize("criterion", ["C1", "C2", "C3", "C4", "LEMMA1"])
+@pytest.mark.parametrize("measure", ["l1", "rel_ent", "skew", "trivial"])
+def test_blocks_match_the_per_trial_reference(criterion, measure, monkeypatch):
+    monkeypatch.setattr(harness, "TRIAL_BLOCK", 7)
+    cfg = small_cfg(dim=4, n=30, seed=13, n_kraus_range=(2, 4))
+    report = _JOB_CHECKS[criterion](measure, cfg, jobs=1)
+    slacks = _per_trial_slacks(criterion, measure, cfg)
+    violating = slacks < (0.0 if criterion in ("C1", "LEMMA1") else -cfg.tol)
+    assert report.violations == int(violating.sum())
+    # skew's quadratic forms may round differently in the last bit once stacked
+    assert abs(report.worst_violation - slacks.min()) <= (1e-15 if measure == "skew" else 0.0)
+    if report.witness is not None:
+        before, after = reevaluate_witness(report)
+        assert abs(before - report.witness.value_before) <= 1e-12
+        assert abs(after - report.witness.value_after) <= 1e-12
+
+
 def test_pool_size_is_capped_by_cpus_and_chunks():
     assert _pool_size(jobs=1, cpus=8, n_chunks=40) == 1
     assert _pool_size(jobs=4, cpus=8, n_chunks=40) == 4
