@@ -10,42 +10,34 @@ that only the maximally coherent states reach the maximal value.
 This script fuzzes all of them for several measures and prints the verdicts.
 """
 
-from coherence_lab import (
-    TrialConfig,
-    check_c1,
-    check_c2,
-    check_c3,
-    check_c4,
-    check_c5,
-    check_lemma1,
-    check_lemma2,
-    check_theorem3,
-)
+from coherence_lab import TrialConfig, check_criterion
 
 cfg = TrialConfig(dim=3, n_trials=400, seed=0)
 
 print("measure   criterion  trials  violations   worst slack")
 for measure in ("l1", "rel_ent", "trivial"):
-    for label, check in [("C1", check_c1), ("C2", check_c2), ("C3", check_c3), ("C4", check_c4)]:
-        report = check(measure, cfg)
+    for label in ("C1", "C2", "C3", "C4"):
+        report = check_criterion(label, measure, cfg)
         print(f"{measure:<10}{label:<11}{report.trials:<8}{report.violations:<13}{report.worst_violation:.3e}")
 
 # LEMMA1: relabeling unitaries preserve every valid measure's value
 for measure in ("l1", "rel_ent", "trivial"):
-    report = check_lemma1(measure, cfg)
+    report = check_criterion("LEMMA1", measure, cfg)
     print(f"{measure:<10}{'LEMMA1':<11}{report.trials:<8}{report.violations:<13}{report.worst_violation:.3e}")
 
 # C5: the maximum should sit exactly on the uniform-modulus states.
 # the trivial measure FAILS here: any coherent state already attains value 1.
 print()
 for measure in ("l1", "rel_ent", "trivial"):
-    report = check_c5(measure, 3)
+    report = check_criterion("C5", measure, TrialConfig(dim=3, n_trials=64))
     verdict = "PASS" if report.violations == 0 else "FAIL"
     print(f"C5 {measure:<9} max={report.max_value:.6f}  near-max non-MCS states: {report.violations}  -> {verdict}")
 
 # LEMMA2 / THEOREM3: structure of the channels themselves
 print()
-lemma2 = check_lemma2(cfg)
+lemma2 = check_criterion("LEMMA2", None, cfg)
 print(f"LEMMA2  (no channel creates maximal coherence): violations={lemma2.violations}")
-theorem3 = check_theorem3(TrialConfig(dim=3, n_trials=150, seed=0, n_kraus_range=(2, 4)))
+theorem3 = check_criterion(
+    "THEOREM3", None, TrialConfig(dim=3, n_trials=150, seed=0, n_kraus_range=(2, 4))
+)
 print(f"THEOREM3 (no non-unitary channel preserves values): violations={theorem3.violations}")

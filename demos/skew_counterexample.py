@@ -17,13 +17,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from coherence_lab import (
-    TrialConfig,
-    check_c2,
-    check_lemma1,
-    reevaluate_witness,
-    skew_violation_witness,
-)
+from coherence_lab import TrialConfig, check_criterion, reevaluate_witness, skew_violation_witness
 
 # the deterministic counterexample: populations (1/2, 1/3, 1/6), K = diag(0,1,2)
 witness = skew_violation_witness(3)
@@ -39,11 +33,11 @@ by_hand = sum(w[i] * w[j] * (i - j) ** 2 for i in range(3) for j in range(i + 1,
 print("closed form on (1/6, 1/2, 1/3):", by_hand)
 
 # randomized search confirms the violation is generic, not hand-picked
-c2 = check_c2("skew", TrialConfig(dim=3, n_trials=100, seed=0))
+c2 = check_criterion("C2", "skew", TrialConfig(dim=3, n_trials=100, seed=0))
 print(f"\nrandom search at d=3: {c2.violations}/100 trials violate monotonicity")
 before, after = reevaluate_witness(c2)
 print(f"worst random witness: {before:.6f} -> {after:.6f}")
 
 # dimension 2 is safe: a single pair (k_0-k_1)^2 cannot notice a relabeling
-d2 = check_lemma1("skew", TrialConfig(dim=2, n_trials=1000, seed=0))
+d2 = check_criterion("LEMMA1", "skew", TrialConfig(dim=2, n_trials=1000, seed=0))
 print(f"d=2 relabeling invariance: {d2.violations}/1000 violations (single-pair symmetry)")

@@ -16,6 +16,7 @@ import numpy as np
 from . import numerics
 from .errors import (
     BadParamsError,
+    BadPayloadError,
     DimMismatchError,
     IncompleteChannelError,
     NotIncoherentError,
@@ -289,16 +290,15 @@ def channel_from_dict(payload: dict) -> KrausChannel:
     """Parse ``{"dim": d, "kraus": [{"re": [...], "im": [...]}, ...]}`` (row-major)."""
     try:
         dim = numerics.file_dim(payload["dim"])
-        raw_ops = payload["kraus"]
+        ops = []
+        for entry in payload["kraus"]:
+            re = np.asarray(entry["re"], dtype=np.float64)
+            im = np.asarray(entry["im"], dtype=np.float64)
+            if re.size != dim * dim or im.size != dim * dim:
+                raise BadPayloadError(f"Kraus operator needs {dim * dim} entries")
+            ops.append((re + 1j * im).reshape(dim, dim))
     except (KeyError, TypeError, ValueError) as exc:
-        raise ValueError(f"malformed channel payload: {exc}") from exc
-    ops = []
-    for entry in raw_ops:
-        re = np.asarray(entry["re"], dtype=np.float64)
-        im = np.asarray(entry["im"], dtype=np.float64)
-        if re.size != dim * dim or im.size != dim * dim:
-            raise ValueError(f"Kraus operator needs {dim * dim} entries")
-        ops.append((re + 1j * im).reshape(dim, dim))
+        raise BadPayloadError(f"malformed channel payload: {exc}") from exc
     return KrausChannel(tuple(ops))
 
 
@@ -308,5 +308,5 @@ def unitary_from_dict(payload: dict) -> IncoherentUnitary:
         perm = tuple(int(p) for p in payload["perm"])
         phases = tuple(float(t) for t in payload["phases"])
     except (KeyError, TypeError, ValueError) as exc:
-        raise ValueError(f"malformed unitary payload: {exc}") from exc
+        raise BadPayloadError(f"malformed unitary payload: {exc}") from exc
     return IncoherentUnitary(perm, phases)

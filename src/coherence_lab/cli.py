@@ -13,6 +13,7 @@ format error.  Output is JSON (reports also serialize to CSV via
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -46,7 +47,7 @@ def _load_json(path: str) -> dict:
 def _load_state(path: str):
     try:
         return st_mod.state_from_dict(_load_json(path))
-    except (ValueError, CoherenceLabError) as exc:
+    except CoherenceLabError as exc:
         raise _InputError(f"bad state file {path}: {exc}") from exc
 
 
@@ -60,7 +61,7 @@ def _load_density(path: str) -> st_mod.DensityMatrix:
 def _load_channel(path: str) -> ch_mod.KrausChannel:
     try:
         return ch_mod.channel_from_dict(_load_json(path))
-    except (ValueError, CoherenceLabError) as exc:
+    except CoherenceLabError as exc:
         raise _InputError(f"bad channel file {path}: {exc}") from exc
 
 
@@ -107,7 +108,9 @@ def positive_int(text: str) -> int:
     return value
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="coherence-lab",
         description="Coherence measures, incoherent channels, and criteria verification.",
@@ -130,7 +133,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument(
         "--criterion",
         required=True,
-        choices=h_mod.CRITERIA + ("ALL",),
+        choices=tuple(h_mod.CRITERIA) + ("ALL",),
     )
     p_verify.add_argument("--dim", type=int, default=3)
     p_verify.add_argument("--trials", type=int, default=None)
@@ -159,9 +162,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p_mcs.add_argument("--out", default=None)
     return parser
-
-
-_MEASURE_CRITERIA = ("C1", "C2", "C3", "C4", "C5", "LEMMA1")
 
 
 def _cmd_measure(args) -> int:
@@ -201,41 +201,15 @@ def _cmd_check_channel(args) -> int:
     return 0
 
 
-def _run_one_criterion(criterion, measure, cfg, jobs, seed):
-    if criterion == "LEMMA2":
-        return h_mod.check_lemma2(cfg, jobs)
-    if criterion == "THEOREM3":
-        return h_mod.check_theorem3(cfg, jobs)
-    if criterion == "C5":
-        opt = m_mod.OptimizerConfig(restarts=cfg.n_trials, seed=seed)
-        return h_mod.check_c5(measure, cfg.dim, opt)
-    checker = {
-        "C1": h_mod.check_c1,
-        "C2": h_mod.check_c2,
-        "C3": h_mod.check_c3,
-        "C4": h_mod.check_c4,
-        "LEMMA1": h_mod.check_lemma1,
-    }[criterion]
-    return checker(measure, cfg, jobs)
-
-
 def _cmd_verify(args) -> int:
-    criteria = [args.criterion]
-    if args.criterion == "ALL":
-        criteria = list(_MEASURE_CRITERIA) + ["LEMMA2", "THEOREM3"]
-    needs_measure = any(c in _MEASURE_CRITERIA for c in criteria)
-    if needs_measure and args.measure is None:
-        raise BadParamsError(f"--measure is required for criteria {_MEASURE_CRITERIA}")
-
+    criteria = list(h_mod.CRITERIA) if args.criterion == "ALL" else [args.criterion]
     seed = args.seed if args.seed is not None else _default_seed()
     tol = args.tol if args.tol is not None else h_mod.default_tol(args.measure or "l1")
     reports = []
     for criterion in criteria:
-        trials = args.trials
-        if trials is None:
-            trials = 64 if criterion == "C5" else 1000
+        trials = h_mod.CRITERIA[criterion].trials if args.trials is None else args.trials
         cfg = h_mod.TrialConfig(dim=args.dim, n_trials=trials, seed=seed, tol=tol)
-        reports.append(_run_one_criterion(criterion, args.measure, cfg, args.jobs, seed))
+        reports.append(h_mod.check_criterion(criterion, args.measure, cfg, args.jobs))
 
     _write_text(emit_reports(reports, args.format), args.out)
     return 1 if any(r.violations > 0 for r in reports) else 0
@@ -252,8 +226,8 @@ def _cmd_hunt(args) -> int:
     except BadDimError:
         payload["skew_witness"] = None
     cfg = h_mod.TrialConfig(dim=args.dim, n_trials=args.trials, seed=seed, tol=args.tol)
-    c2 = h_mod.check_c2("skew", cfg, args.jobs)
-    lemma1 = h_mod.check_lemma1("skew", cfg, args.jobs)
+    c2 = h_mod.check_criterion("C2", "skew", cfg, args.jobs)
+    lemma1 = h_mod.check_criterion("LEMMA1", "skew", cfg, args.jobs)
     payload["c2_search"] = c2.to_dict()
     payload["lemma1_search"] = lemma1.to_dict()
     found = found or c2.violations > 0 or lemma1.violations > 0

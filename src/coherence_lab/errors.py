@@ -37,6 +37,10 @@ class BadParamsError(CoherenceLabError):
     """Sampler parameters out of range."""
 
 
+class BadPayloadError(CoherenceLabError):
+    """State, channel or unitary payload has a missing, mistyped or wrongly sized field."""
+
+
 class DimMismatchError(CoherenceLabError):
     """Operands act on different dimensions."""
 

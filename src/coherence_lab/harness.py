@@ -1,6 +1,6 @@
 """Randomized verification of the coherence-measure criteria.
 
-Each check runs seeded independent trials and aggregates them into a
+Each criterion runs seeded independent trials and aggregates them into a
 CriterionReport.  Trial randomness derives from (seed, trial index), so a
 report is a pure function of its TrialConfig: reruns and parallel runs
 produce bit-identical results.
@@ -12,20 +12,20 @@ trials alone would make one each; the stacked kernels round every row as
 they round one matrix.  LEMMA2 and THEOREM3 run their trials one at a time,
 and THEOREM3 measures its whole probe panel as one stack.
 
-Checks
-------
-* ``check_c1``   -- value vanishes exactly on incoherent states and is
+Criteria: the keys of ``CRITERIA``, each run by ``check_criterion``
+-------------------------------------------------------------------
+* ``C1``   -- value vanishes exactly on incoherent states and is
   bounded away from zero on visibly coherent ones.
-* ``check_c2``   -- monotonicity under non-selective incoherent channels.
-* ``check_c3``   -- monotonicity on average under subselection.
-* ``check_c4``   -- convexity under mixing.
-* ``check_c5``   -- only the uniform-modulus (maximally coherent) states
+* ``C2``   -- monotonicity under non-selective incoherent channels.
+* ``C3``   -- monotonicity on average under subselection.
+* ``C4``   -- convexity under mixing.
+* ``C5``   -- only the uniform-modulus (maximally coherent) states
   attain the measure's maximum; located by a restart maximizer on the
   probability simplex.
-* ``check_lemma1`` -- invariance under relabeling-with-phases unitaries.
-* ``check_lemma2`` -- no incoherent channel produces a maximally coherent
+* ``LEMMA1`` -- invariance under relabeling-with-phases unitaries.
+* ``LEMMA2`` -- no incoherent channel produces a maximally coherent
   output unless it is a CPO acting on a maximally coherent input.
-* ``check_theorem3`` -- no non-unitary incoherent channel preserves both
+* ``THEOREM3`` -- no non-unitary incoherent channel preserves both
   the l1 and relative-entropy values on a probe panel (and sampled CPOs
   always do).
 * ``skew_violation_witness`` -- deterministic counterexample showing the
@@ -41,7 +41,7 @@ import dataclasses
 import os
 from concurrent.futures import ProcessPoolExecutor
 from functools import lru_cache
-from typing import Optional, Union
+from typing import Callable, Optional, Union
 
 import numpy as np
 
@@ -59,31 +59,30 @@ from .channels import (
     unitary_from_dict,
 )
 from .errors import BadDimError, BadParamsError
-from .measures import Measure, OptimizerConfig, default_observable, measure_by_name
+from .measures import Measure, default_observable, measure_by_name
 from .mcs import is_mcs, mcs_deviation, mcs_sample
 from .states import DensityMatrix, PureState, dephase, from_pure, random_density, random_pure
 
-# check_c1 thresholds: zero level on incoherent inputs, and the floor a
+# C1 thresholds: zero level on incoherent inputs, and the floor a
 # measure must clear once the off-diagonal mass is macroscopic.
 C1_ZERO_TOL = 1e-9
 C1_VALUE_FLOOR = 1e-6
 C1_MASS_FLOOR = 1e-3
 
-# CPO sanity arm of check_theorem3: preservation must hold this tightly.
+# CPO sanity arm of THEOREM3: preservation must hold this tightly.
 CPO_PRESERVE_TOL = 1e-9
 
-# Probe panel size for check_theorem3.
+# Probe panel size for THEOREM3.
 PROBE_COUNT = 20
 
 # Trials evaluated as one stack: bounds a block's memory whatever the trial count.
 TRIAL_BLOCK = 256
 
-CRITERIA = ("C1", "C2", "C3", "C4", "C5", "LEMMA1", "LEMMA2", "THEOREM3")
-
 
 @dataclasses.dataclass(frozen=True)
 class TrialConfig:
-    """Shared knobs for the randomized checks."""
+    """Shared knobs for the randomized checks; C5 reads ``n_trials`` as its
+    restart count and uses neither ``tol`` nor ``n_kraus_range``."""
 
     dim: int
     n_trials: int
@@ -474,19 +473,8 @@ def _trialwise(trial_fn):
     return run
 
 
-_BLOCK_FNS = {
-    "C1": _c1_block,
-    "C2": _c2_block,
-    "C3": _c3_block,
-    "C4": _c4_block,
-    "LEMMA1": _lemma1_block,
-    "LEMMA2": _trialwise(_lemma2_trial),
-    "THEOREM3": _trialwise(_theorem3_trial),
-}
-
-
 def _run_chunk(criterion: str, measure_name: str, cfg: TrialConfig, lo: int, hi: int):
-    fn = _BLOCK_FNS[criterion]
+    fn = CRITERIA[criterion].block  # looked up by name: workers get the name, not a closure
     return [fn(measure_name, cfg, range(a, min(a + TRIAL_BLOCK, hi))) for a in range(lo, hi, TRIAL_BLOCK)]
 
 
@@ -496,8 +484,6 @@ def _pool_size(jobs: int, cpus: int, n_chunks: int) -> int:
 
 
 def _run_trials(criterion: str, measure_name: str, cfg: TrialConfig, jobs: int):
-    if jobs < 1:
-        raise BadParamsError(f"jobs must be >= 1, got {jobs}")
     bounds = np.linspace(0, cfg.n_trials, num=min(jobs * 4, cfg.n_trials) + 1, dtype=int)
     chunks = [(int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:]) if a < b]
     workers = _pool_size(jobs, os.cpu_count() or 1, len(chunks))
@@ -509,62 +495,6 @@ def _run_trials(criterion: str, measure_name: str, cfg: TrialConfig, jobs: int):
         for fut in futures:  # submission order == trial order
             blocks.extend(fut.result())
     return blocks
-
-
-def _check(criterion: str, measure_name: str, cfg: TrialConfig, jobs: int) -> CriterionReport:
-    blocks = _run_trials(criterion, measure_name, cfg, jobs)
-    slack = np.concatenate([b.slack for b in blocks])
-    counted = np.concatenate([b.counted for b in blocks])
-    violation = np.concatenate([b.violation for b in blocks])
-    # the witness of least slack over the blocks, the first one on ties
-    least = [(b.slack[b.violation].min(), i) for i, b in enumerate(blocks) if b.witness is not None]
-    witness = blocks[min(least)[1]].witness if least else None
-    return CriterionReport(
-        criterion=criterion,
-        measure=measure_name,
-        dim=cfg.dim,
-        trials=cfg.n_trials,
-        violations=int(np.count_nonzero(violation)),
-        worst_violation=float(slack[counted].min()) if counted.any() else 0.0,
-        witness=witness,
-        seed=cfg.seed,
-    )
-
-
-def check_c1(measure: str, cfg: TrialConfig, jobs: int = 1) -> CriterionReport:
-    """Zero exactly on incoherent states; clearly positive once coherence is visible."""
-    return _check("C1", measure, cfg, jobs)
-
-
-def check_c2(measure: str, cfg: TrialConfig, jobs: int = 1) -> CriterionReport:
-    """Monotonicity under random non-selective incoherent channels."""
-    return _check("C2", measure, cfg, jobs)
-
-
-def check_c3(measure: str, cfg: TrialConfig, jobs: int = 1) -> CriterionReport:
-    """Monotonicity on average over measurement branches."""
-    return _check("C3", measure, cfg, jobs)
-
-
-def check_c4(measure: str, cfg: TrialConfig, jobs: int = 1) -> CriterionReport:
-    """Convexity under random two-state mixing."""
-    return _check("C4", measure, cfg, jobs)
-
-
-def check_lemma1(measure: str, cfg: TrialConfig, jobs: int = 1) -> CriterionReport:
-    """Value invariance under random relabeling-with-phases unitaries."""
-    return _check("LEMMA1", measure, cfg, jobs)
-
-
-def check_lemma2(cfg: TrialConfig, jobs: int = 1) -> CriterionReport:
-    """Maximally coherent outputs only arise from CPOs on maximally coherent inputs."""
-    return _check("LEMMA2", "none", cfg, jobs)
-
-
-def check_theorem3(cfg: TrialConfig, jobs: int = 1) -> CriterionReport:
-    """Non-unitary incoherent channels never preserve both reference measures
-    across the probe panel, while sampled CPOs always do."""
-    return _check("THEOREM3", "l1+rel_ent", cfg, jobs)
 
 
 # ---------------------------------------------------------------------------
@@ -631,9 +561,9 @@ def _ascend(measure: Measure, w: np.ndarray, floor=1e-9, max_rounds=50):
         moved[k] = hit
 
 
-def check_c5(measure: str, dim: int, opt: Optional[OptimizerConfig] = None) -> CriterionReport:
-    """Maximize the measure over pure states and test that every near-maximal
-    state found is maximally coherent.
+def _c5_report(measure: str, cfg: TrialConfig) -> CriterionReport:
+    """Maximize the measure over pure states from ``cfg.n_trials`` restarts
+    and test that every near-maximal state found is maximally coherent.
 
     The search runs on the probability simplex through ``evaluate_pure``,
     one ascent per restart from a Dirichlet-random point, and each point
@@ -646,12 +576,9 @@ def check_c5(measure: str, dim: int, opt: Optional[OptimizerConfig] = None) -> C
     advisory: its mixed-state branch is an optimizer upper bound, and the
     search runs over pure states where it coincides with ``rel_ent``.
     """
-    if dim < 2:
-        raise BadDimError("dim must be >= 2")
-    opt = opt or OptimizerConfig(restarts=64)
-    m = measure_by_name(measure, dim=dim)
-    rng = np.random.default_rng([opt.seed, 424243])
-    starts = rng.dirichlet(np.ones(dim), size=max(1, opt.restarts))
+    m = measure_by_name(measure, dim=cfg.dim)
+    rng = np.random.default_rng([cfg.seed, 424243])
+    starts = rng.dirichlet(np.ones(cfg.dim), size=cfg.n_trials)
     candidates = []
     for b in range(0, len(starts), C5_BLOCK):
         ws, vals = _ascend(m, starts[b : b + C5_BLOCK])
@@ -683,12 +610,12 @@ def check_c5(measure: str, dim: int, opt: Optional[OptimizerConfig] = None) -> C
     return CriterionReport(
         criterion="C5",
         measure=measure,
-        dim=dim,
-        trials=max(1, opt.restarts),
+        dim=cfg.dim,
+        trials=cfg.n_trials,
         violations=len(offenders),
         worst_violation=float(min(slacks, default=0.0)),
         witness=witness,
-        seed=opt.seed,
+        seed=cfg.seed,
         max_value=float(best_val),
     )
 
@@ -753,40 +680,109 @@ def _apply_witness_channel(witness: ViolationWitness) -> DensityMatrix:
     return apply_channel(witness.channel, witness.state)
 
 
+def _values_under(w: ViolationWitness, fn):
+    """``fn`` of the witness state and of its image under the witness channel."""
+    return fn(w.state), fn(_apply_witness_channel(w))
+
+
+def _c3_values(w: ViolationWitness, measure: Measure):
+    branches = apply_selective(w.channel, w.state)
+    return measure.evaluate(w.state), float(sum(p * measure.evaluate(b) for p, b in branches))
+
+
+def _c4_values(w: ViolationWitness, measure: Measure):
+    rho_a = st_mod.state_from_dict(w.aux["state_a"])
+    rho_b = st_mod.state_from_dict(w.aux["state_b"])
+    lam = float(w.aux["lam"])
+    before = lam * measure.evaluate(rho_a) + (1.0 - lam) * measure.evaluate(rho_b)
+    return before, measure.evaluate(w.state)
+
+
+# ---------------------------------------------------------------------------
+# the criterion table
+# ---------------------------------------------------------------------------
+
+
+@dataclasses.dataclass(frozen=True)
+class Criterion:
+    """What the harness knows about one criterion.
+
+    ``block(measure_name, cfg, trials)`` evaluates a block of trials; C5 has
+    none, since its restarts ascend together.  ``witness_values(witness,
+    measure)`` recomputes a witness's (value_before, value_after).
+    ``measure`` is the report's fixed measure label, None where the caller
+    names the measure (the re-evaluator then gets measure None).  ``trials``
+    is the default trial count.
+    """
+
+    block: Optional[Callable]
+    witness_values: Callable
+    measure: Optional[str] = None
+    trials: int = 1000
+
+
+CRITERIA = {
+    "C1": Criterion(_c1_block, lambda w, m: (m.evaluate(w.state), m.evaluate(dephase(w.state)))),
+    "C2": Criterion(_c2_block, lambda w, m: _values_under(w, m.evaluate)),
+    "C3": Criterion(_c3_block, _c3_values),
+    "C4": Criterion(_c4_block, _c4_values),
+    "C5": Criterion(None, lambda w, m: (m.evaluate(w.state), mcs_deviation(w.state)), trials=64),
+    "LEMMA1": Criterion(_lemma1_block, lambda w, m: _values_under(w, m.evaluate)),
+    "LEMMA2": Criterion(_trialwise(_lemma2_trial), lambda w, _: _values_under(w, mcs_deviation), "none"),
+    "THEOREM3": Criterion(
+        _trialwise(_theorem3_trial), lambda w, _: _values_under(w, m_mod.c_l1), "l1+rel_ent"
+    ),
+}
+
+
+def check_criterion(
+    criterion: str, measure: Optional[str], cfg: TrialConfig, jobs: int = 1
+) -> CriterionReport:
+    """Run one criterion of ``CRITERIA`` with ``cfg.n_trials`` trials (C5: restarts).
+
+    ``measure`` names the measure under test; LEMMA2 and THEOREM3 test
+    channels and report their fixed label whatever it is.  Raises
+    BadParamsError on an unknown criterion, a missing measure or jobs < 1.
+    """
+    entry = CRITERIA.get(criterion)
+    if entry is None:
+        raise BadParamsError(f"unknown criterion {criterion!r}; choose from {tuple(CRITERIA)}")
+    label = entry.measure or measure
+    if label is None:
+        raise BadParamsError(f"criterion {criterion} needs a measure")
+    if jobs < 1:
+        raise BadParamsError(f"jobs must be >= 1, got {jobs}")
+    if entry.block is None:
+        return _c5_report(label, cfg)
+    blocks = _run_trials(criterion, label, cfg, jobs)
+    slack = np.concatenate([b.slack for b in blocks])
+    counted = np.concatenate([b.counted for b in blocks])
+    violation = np.concatenate([b.violation for b in blocks])
+    # the witness of least slack over the blocks, the first one on ties
+    least = [(b.slack[b.violation].min(), i) for i, b in enumerate(blocks) if b.witness is not None]
+    witness = blocks[min(least)[1]].witness if least else None
+    return CriterionReport(
+        criterion=criterion,
+        measure=label,
+        dim=cfg.dim,
+        trials=cfg.n_trials,
+        violations=int(np.count_nonzero(violation)),
+        worst_violation=float(slack[counted].min()) if counted.any() else 0.0,
+        witness=witness,
+        seed=cfg.seed,
+    )
+
+
 def reevaluate_witness(report: CriterionReport) -> tuple[float, float]:
     """Recompute (value_before, value_after) of a report's witness from scratch."""
-    w = report.witness
-    if w is None:
+    if report.witness is None:
         raise BadParamsError("report has no witness")
-    crit = report.criterion
-    if crit in ("C2", "LEMMA1", "SKEW_WITNESS"):
-        measure = measure_by_name(report.measure, dim=report.dim)
-        return measure.evaluate(w.state), measure.evaluate(_apply_witness_channel(w))
-    if crit == "C3":
-        measure = measure_by_name(report.measure, dim=report.dim)
-        branches = apply_selective(w.channel, w.state)
-        return (
-            measure.evaluate(w.state),
-            float(sum(p * measure.evaluate(b) for p, b in branches)),
-        )
-    if crit == "C4":
-        measure = measure_by_name(report.measure, dim=report.dim)
-        rho_a = st_mod.state_from_dict(w.aux["state_a"])
-        rho_b = st_mod.state_from_dict(w.aux["state_b"])
-        lam = float(w.aux["lam"])
-        before = lam * measure.evaluate(rho_a) + (1.0 - lam) * measure.evaluate(rho_b)
-        return before, measure.evaluate(w.state)
-    if crit == "C1":
-        measure = measure_by_name(report.measure, dim=report.dim)
-        return measure.evaluate(w.state), measure.evaluate(dephase(w.state))
-    if crit == "C5":
-        measure = measure_by_name(report.measure, dim=report.dim)
-        return measure.evaluate(w.state), mcs_deviation(w.state)
-    if crit == "LEMMA2":
-        return mcs_deviation(w.state), mcs_deviation(_apply_witness_channel(w))
-    if crit == "THEOREM3":
-        return m_mod.c_l1(w.state), m_mod.c_l1(_apply_witness_channel(w))
-    raise BadParamsError(f"unknown criterion {crit!r}")
+    # the skew witness is a state and a relabeling, as a C2 witness is
+    entry = CRITERIA.get("C2" if report.criterion == "SKEW_WITNESS" else report.criterion)
+    if entry is None:
+        raise BadParamsError(f"unknown criterion {report.criterion!r}")
+    measure = None if entry.measure else measure_by_name(report.measure, dim=report.dim)
+    return entry.witness_values(report.witness, measure)
 
 
 def skew_witness_report(dim: int, seed: int = 0) -> CriterionReport:

@@ -14,7 +14,7 @@ from functools import cached_property
 import numpy as np
 
 from . import numerics
-from .errors import BadDimError, BadRankError, NonSquareError, NotNormalizedError
+from .errors import BadDimError, BadPayloadError, BadRankError, NonSquareError, NotNormalizedError
 from .numerics import dagger
 
 # Two pure states are "the same" when |<psi|phi>| >= 1 - PHASE_EQ_TOL.
@@ -206,16 +206,16 @@ def state_from_dict(payload: dict):
         re = np.asarray(payload["re"], dtype=np.float64).reshape(-1)
         im = np.asarray(payload["im"], dtype=np.float64).reshape(-1)
     except (KeyError, TypeError, ValueError) as exc:
-        raise ValueError(f"malformed state payload: {exc}") from exc
+        raise BadPayloadError(f"malformed state payload: {exc}") from exc
     if re.size != im.size:
-        raise ValueError(f"re/im length mismatch: {re.size} vs {im.size}")
+        raise BadPayloadError(f"re/im length mismatch: {re.size} vs {im.size}")
     data = re + 1j * im
     if kind == "pure":
         if data.size != dim:
-            raise ValueError(f"pure state needs {dim} amplitudes, got {data.size}")
+            raise BadPayloadError(f"pure state needs {dim} amplitudes, got {data.size}")
         return PureState(data)
     if kind == "density":
         if data.size != dim * dim:
-            raise ValueError(f"density matrix needs {dim * dim} entries, got {data.size}")
+            raise BadPayloadError(f"density matrix needs {dim * dim} entries, got {data.size}")
         return DensityMatrix(data.reshape(dim, dim))
-    raise ValueError(f"unknown state kind {kind!r}")
+    raise BadPayloadError(f"unknown state kind {kind!r}")

@@ -10,13 +10,7 @@ import pytest
 from coherence_lab import numerics
 from coherence_lab.harness import (
     TrialConfig,
-    check_c2,
-    check_c3,
-    check_c4,
-    check_c5,
-    check_lemma1,
-    check_lemma2,
-    check_theorem3,
+    check_criterion,
     skew_violation_witness,
 )
 from coherence_lab.channels import is_incoherent_channel
@@ -49,7 +43,7 @@ def test_01_l1_maximum_located_at_uniform_modulus_states():
         for i in range(5):
             sample = mcs_sample(dim, [1, dim, i])
             assert abs(c_l1(from_pure(sample)) - (dim - 1)) <= 1e-9
-        report = check_c5("l1", dim)
+        report = check_criterion("C5", "l1", TrialConfig(dim=dim, n_trials=64))
         assert abs(report.max_value - (dim - 1)) <= 1e-6
         assert report.max_value <= dim - 1 + 1e-9
         assert report.violations == 0  # every near-maximizer passed is_mcs(1e-3)
@@ -58,7 +52,7 @@ def test_01_l1_maximum_located_at_uniform_modulus_states():
 
 def test_02_rel_ent_maximum_is_log2_d():
     for dim in (2, 3):
-        report = check_c5("rel_ent", dim)
+        report = check_criterion("C5", "rel_ent", TrialConfig(dim=dim, n_trials=64))
         assert abs(report.max_value - np.log2(dim)) <= 1e-6
         assert report.violations == 0
     _ok("02 rel_ent maximum = log2(d) with maximally coherent maximizers (d=2,3)")
@@ -68,9 +62,9 @@ def test_02_rel_ent_maximum_is_log2_d():
 @pytest.mark.parametrize("measure", ["l1", "rel_ent", "trivial"])
 def test_03_monotonicity_and_convexity_fuzz(measure, dim):
     cfg = TrialConfig(dim=dim, n_trials=2000, seed=300 + dim, tol=1e-8)
-    for check in (check_c2, check_c3, check_c4):
-        report = check(measure, cfg)
-        assert report.violations == 0, f"{check.__name__}({measure}, d={dim})"
+    for criterion in ("C2", "C3", "C4"):
+        report = check_criterion(criterion, measure, cfg)
+        assert report.violations == 0, f"{criterion}({measure}, d={dim})"
     _ok(f"03 C2/C3/C4 fuzz zero violations ({measure}, d={dim}, 2000 trials each)")
 
 
@@ -78,7 +72,7 @@ def test_03_monotonicity_and_convexity_fuzz(measure, dim):
 def test_04_relabeling_invariance_for_valid_measures(dim):
     cfg = TrialConfig(dim=dim, n_trials=1000, seed=400 + dim, tol=1e-8)
     for measure in ("l1", "rel_ent", "trivial", "int_rand"):
-        report = check_lemma1(measure, cfg)
+        report = check_criterion("LEMMA1", measure, cfg)
         assert report.violations == 0, f"lemma1({measure}, d={dim})"
     _ok(f"04 relabeling-unitary invariance zero violations (d={dim}, 1000 trials)")
 
@@ -88,18 +82,18 @@ def test_05_skew_information_violations():
     assert abs(witness.value_before - 17 / 36) <= 1e-15
     assert abs(witness.value_after - 5 / 9) <= 1e-15
 
-    c2 = check_c2("skew", TrialConfig(dim=3, n_trials=100, seed=500, tol=1e-8))
+    c2 = check_criterion("C2", "skew", TrialConfig(dim=3, n_trials=100, seed=500, tol=1e-8))
     assert c2.violations >= 1
     assert c2.witness is not None
 
-    lemma1_d2 = check_lemma1("skew", TrialConfig(dim=2, n_trials=1000, seed=501, tol=1e-8))
+    lemma1_d2 = check_criterion("LEMMA1", "skew", TrialConfig(dim=2, n_trials=1000, seed=501, tol=1e-8))
     assert lemma1_d2.violations == 0
     _ok("05 skew witness {17/36 -> 5/9}, C2 violations at d=3, none at d=2")
 
 
 @pytest.mark.parametrize("dim", [2, 3, 4])
 def test_06_no_incoherent_channel_reaches_maximal_coherence(dim):
-    report = check_lemma2(TrialConfig(dim=dim, n_trials=1000, seed=600 + dim, tol=1e-8))
+    report = check_criterion("LEMMA2", None, TrialConfig(dim=dim, n_trials=1000, seed=600 + dim, tol=1e-8))
     assert report.violations == 0
     _ok(f"06 maximal coherence unreachable except CPO-on-MCS (d={dim}, 1000 trials)")
 
@@ -128,7 +122,9 @@ def test_07_uniform_superposition_prepares_any_state(dim):
 
 @pytest.mark.parametrize("dim", [2, 3])
 def test_08_only_relabelings_preserve_values_everywhere(dim):
-    report = check_theorem3(
+    report = check_criterion(
+        "THEOREM3",
+        None,
         TrialConfig(dim=dim, n_trials=500, seed=800 + dim, tol=1e-8, n_kraus_range=(2, 4))
     )
     # zero masquerading non-unitary channels AND zero CPO preservation failures
@@ -138,7 +134,7 @@ def test_08_only_relabelings_preserve_values_everywhere(dim):
 
 
 def test_09_trivial_measure_is_excluded_by_maximal_value_criterion():
-    report = check_c5("trivial", 3)
+    report = check_criterion("C5", "trivial", TrialConfig(dim=3, n_trials=64))
     assert report.violations > 0
     witness = report.witness
     assert witness is not None

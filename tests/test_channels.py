@@ -20,6 +20,7 @@ from coherence_lab.channels import (
 from coherence_lab.errors import (
     BadDimError,
     BadParamsError,
+    BadPayloadError,
     DimMismatchError,
     IncompleteChannelError,
     NotIncoherentError,
@@ -251,6 +252,30 @@ def test_channel_from_dict_rejects_non_integer_or_small_dim(dim):
     payload = {"dim": dim, "kraus": [{"re": np.eye(n).ravel().tolist(), "im": [0.0] * n**2}]}
     with pytest.raises(BadDimError):
         channel_from_dict(payload)
+
+
+@pytest.mark.parametrize("payload", [
+    {"dim": 2, "kraus": [{"re": [1, 0, 0, 1]}]},
+    {"dim": 2, "kraus": [1]},
+    {"dim": 2, "kraus": 5},
+    {"dim": 2, "kraus": [{"re": [1, 0, 0, 1], "im": [0, 0, 0]}]},
+    {"dim": 2, "kraus": [{"re": ["a", 0, 0, 1], "im": [0, 0, 0, 0]}]},
+    {"kraus": []},
+    [2],
+])
+def test_channel_from_dict_rejects_malformed_payloads(payload):
+    with pytest.raises(BadPayloadError):
+        channel_from_dict(payload)
+
+
+@pytest.mark.parametrize("payload", [
+    {"perm": [1, 0]},
+    {"perm": [1, 0], "phases": 0.5},
+    {"perm": ["x", 0], "phases": [0.0, 0.0]},
+])
+def test_unitary_from_dict_rejects_malformed_payloads(payload):
+    with pytest.raises(BadPayloadError):
+        unitary_from_dict(payload)
 
 
 def test_channel_json_round_trip():

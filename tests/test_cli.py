@@ -5,7 +5,7 @@ import pytest
 
 from coherence_lab import cli
 from coherence_lab.channels import apply_channel, channel_from_dict, is_incoherent_channel
-from coherence_lab.harness import check_c2, TrialConfig
+from coherence_lab.harness import check_criterion, TrialConfig
 from coherence_lab.mcs import uniform_superposition
 from coherence_lab.states import from_pure, state_from_dict
 
@@ -90,7 +90,7 @@ def test_verify_matches_library_call(capsys):
         ["verify", "--measure", "l1", "--criterion", "C2", "--dim", "3",
          "--trials", "40", "--seed", "9"],
     )
-    direct = check_c2("l1", TrialConfig(dim=3, n_trials=40, seed=9, tol=1e-8))
+    direct = check_criterion("C2", "l1", TrialConfig(dim=3, n_trials=40, seed=9, tol=1e-8))
     assert payload == direct.to_dict()
     assert code == 0
 
@@ -98,6 +98,16 @@ def test_verify_matches_library_call(capsys):
 def test_verify_requires_measure_for_measure_criteria(capsys):
     code = cli.run(["verify", "--criterion", "C2"])
     assert code == 2
+
+
+def test_verify_all_without_measure_is_exit_2(capsys):
+    assert cli.run(["verify", "--criterion", "ALL", "--dim", "3", "--trials", "5"]) == 2
+    assert capsys.readouterr().out == ""
+
+
+def test_verify_zero_trials_is_exit_2(capsys):
+    assert cli.run(["verify", "--criterion", "C2", "--measure", "l1", "--trials", "0"]) == 2
+    assert capsys.readouterr().out == ""
 
 
 def test_verify_lemma2_runs_without_measure(capsys):
@@ -221,6 +231,19 @@ def test_invalid_state_payload_is_exit_3(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_malformed_channel_payload_is_exit_3(tmp_path, capsys):
+    payloads = (
+        {"dim": 2, "kraus": [{"re": [1, 0, 0, 1]}]},
+        {"dim": 2, "kraus": [1]},
+        {"dim": 2, "kraus": 5},
+    )
+    for i, payload in enumerate(payloads):
+        path = tmp_path / f"bad_channel{i}.json"
+        path.write_text(json.dumps(payload))
+        assert cli.run(["check-channel", "--channel", str(path)]) == 3, payload
+    assert capsys.readouterr().out == ""
+
+
 def test_dim_above_16_is_exit_3(tmp_path, capsys):
     state = tmp_path / "psi17.json"
     state.write_text(json.dumps(uniform_superposition(17).to_dict()))
@@ -248,7 +271,7 @@ def test_out_file_writing(tmp_path, psi3_file):
 
 
 def test_emit_report_round_trip():
-    report = check_c2("l1", TrialConfig(dim=2, n_trials=10, seed=0))
+    report = check_criterion("C2", "l1", TrialConfig(dim=2, n_trials=10, seed=0))
     from coherence_lab.harness import report_from_dict
 
     text = cli.emit_reports([report], "json")

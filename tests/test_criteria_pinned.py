@@ -28,19 +28,13 @@ TRIALS = 20
 THEOREM3_TRIALS = 8
 FLOAT_TOL = 1e-12
 
-_MEASURE_CHECKS = {
-    "C1": harness.check_c1,
-    "C2": harness.check_c2,
-    "C3": harness.check_c3,
-    "C4": harness.check_c4,
-    "LEMMA1": harness.check_lemma1,
-}
+_MEASURE_CRITERIA = ("C1", "C2", "C3", "C4", "LEMMA1")
 
 
 def _cases():
     for dim in DIMS:
         for seed in SEEDS:
-            for criterion in _MEASURE_CHECKS:
+            for criterion in _MEASURE_CRITERIA:
                 for measure in ("l1", "rel_ent", "skew", "trivial"):
                     yield criterion, measure, dim, seed
             for criterion in ("C1", "LEMMA1"):
@@ -60,17 +54,15 @@ def pin_key(criterion, measure, dim, seed):
 
 
 def run_case(criterion, measure, dim, seed):
-    if criterion == "LEMMA2":
-        return harness.check_lemma2(TrialConfig(dim=dim, n_trials=TRIALS, seed=seed))
-    if criterion == "THEOREM3":
-        return harness.check_theorem3(TrialConfig(dim=dim, n_trials=THEOREM3_TRIALS, seed=seed))
     kraus_range = (1, 4)
     if criterion.startswith("K2-4/"):
         criterion, kraus_range = criterion[len("K2-4/"):], (2, 4)
+    trials = THEOREM3_TRIALS if criterion == "THEOREM3" else TRIALS
+    # LEMMA2 and THEOREM3 run with measure None, at default_tol(None) == 1e-8
     cfg = TrialConfig(
-        dim=dim, n_trials=TRIALS, seed=seed, tol=harness.default_tol(measure), n_kraus_range=kraus_range
+        dim=dim, n_trials=trials, seed=seed, tol=harness.default_tol(measure), n_kraus_range=kraus_range
     )
-    return _MEASURE_CHECKS[criterion](measure, cfg)
+    return harness.check_criterion(criterion, measure, cfg)
 
 
 def _assert_matches(got, want, path):

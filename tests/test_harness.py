@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -12,14 +13,7 @@ from coherence_lab.harness import (
     CriterionReport,
     TrialConfig,
     ViolationWitness,
-    check_c1,
-    check_c2,
-    check_c3,
-    check_c4,
-    check_c5,
-    check_lemma1,
-    check_lemma2,
-    check_theorem3,
+    check_criterion,
     _ascend,
     _panel_deviation,
     _pool_size,
@@ -30,7 +24,7 @@ from coherence_lab.harness import (
     skew_witness_report,
 )
 from coherence_lab.mcs import is_mcs, mcs_deviation
-from coherence_lab.measures import MEASURE_NAMES, OptimizerConfig, measure_by_name
+from coherence_lab.measures import MEASURE_NAMES, measure_by_name
 from coherence_lab.states import DensityMatrix, from_pure
 
 
@@ -48,35 +42,24 @@ def test_trial_config_validation():
 
 
 def test_reports_are_deterministic():
-    a = check_c2("rel_ent", small_cfg())
-    b = check_c2("rel_ent", small_cfg())
+    a = check_criterion("C2", "rel_ent", small_cfg())
+    b = check_criterion("C2", "rel_ent", small_cfg())
     assert a.to_dict() == b.to_dict()
-    c = check_lemma2(small_cfg(n=40))
-    d = check_lemma2(small_cfg(n=40))
+    c = check_criterion("LEMMA2", None, small_cfg(n=40))
+    d = check_criterion("LEMMA2", None, small_cfg(n=40))
     assert c.to_dict() == d.to_dict()
 
 
 def test_parallel_runs_match_sequential():
     cfg = small_cfg(n=40, seed=3)
-    seq = check_c3("l1", cfg, jobs=1)
-    par = check_c3("l1", cfg, jobs=2)
+    seq = check_criterion("C3", "l1", cfg, jobs=1)
+    par = check_criterion("C3", "l1", cfg, jobs=2)
     assert seq.to_dict() == par.to_dict()
-
-
-_JOB_CHECKS = {
-    "C1": check_c1,
-    "C2": check_c2,
-    "C3": check_c3,
-    "C4": check_c4,
-    "LEMMA1": check_lemma1,
-    "LEMMA2": lambda measure, cfg, jobs: check_lemma2(cfg, jobs),
-    "THEOREM3": lambda measure, cfg, jobs: check_theorem3(cfg, jobs),
-}
 
 
 @settings(max_examples=12, deadline=None)
 @given(
-    criterion=st.sampled_from(sorted(_JOB_CHECKS)),
+    criterion=st.sampled_from(sorted(c for c in harness.CRITERIA if c != "C5")),
     measure=st.sampled_from(("l1", "rel_ent", "skew", "trivial")),
     dim=st.integers(2, 5),
     n=st.integers(1, 24),
@@ -84,8 +67,8 @@ _JOB_CHECKS = {
 )
 def test_jobs_do_not_change_reports(criterion, measure, dim, n, seed):
     cfg = small_cfg(dim=dim, n=n, seed=seed)
-    check = _JOB_CHECKS[criterion]
-    assert check(measure, cfg, jobs=1).to_dict() == check(measure, cfg, jobs=2).to_dict()
+    one = check_criterion(criterion, measure, cfg, jobs=1)
+    assert one.to_dict() == check_criterion(criterion, measure, cfg, jobs=2).to_dict()
 
 
 def _per_trial_slacks(criterion, measure_name, cfg):
@@ -126,7 +109,7 @@ def _per_trial_slacks(criterion, measure_name, cfg):
 def test_blocks_match_the_per_trial_reference(criterion, measure, monkeypatch):
     monkeypatch.setattr(harness, "TRIAL_BLOCK", 7)
     cfg = small_cfg(dim=4, n=30, seed=13, n_kraus_range=(2, 4))
-    report = _JOB_CHECKS[criterion](measure, cfg, jobs=1)
+    report = check_criterion(criterion, measure, cfg, jobs=1)
     slacks = _per_trial_slacks(criterion, measure, cfg)
     violating = slacks < (0.0 if criterion in ("C1", "LEMMA1") else -cfg.tol)
     assert report.violations == int(violating.sum())
@@ -148,15 +131,52 @@ def test_pool_size_is_capped_by_cpus_and_chunks():
 @pytest.mark.parametrize("jobs", [0, -3])
 def test_nonpositive_jobs_rejected(jobs):
     with pytest.raises(BadParamsError):
-        check_c2("l1", small_cfg(n=5), jobs=jobs)
+        check_criterion("C2", "l1", small_cfg(n=5), jobs=jobs)
+
+
+def test_criterion_table_order_and_default_trials():
+    assert {name: c.trials for name, c in harness.CRITERIA.items()} == {
+        "C1": 1000, "C2": 1000, "C3": 1000, "C4": 1000, "C5": 64,
+        "LEMMA1": 1000, "LEMMA2": 1000, "THEOREM3": 1000,
+    }
+    assert list(harness.CRITERIA) == ["C1", "C2", "C3", "C4", "C5", "LEMMA1", "LEMMA2", "THEOREM3"]
+
+
+@pytest.mark.parametrize("criterion", ["C6", "ALL", "c2", "SKEW_WITNESS"])
+def test_check_criterion_rejects_unknown_criterion(criterion):
+    with pytest.raises(BadParamsError):
+        check_criterion(criterion, "l1", small_cfg(n=2))
+
+
+@pytest.mark.parametrize("criterion", ["C1", "C2", "C3", "C4", "C5", "LEMMA1"])
+def test_check_criterion_needs_a_measure(criterion):
+    with pytest.raises(BadParamsError):
+        check_criterion(criterion, None, small_cfg(n=2))
+
+
+@pytest.mark.parametrize("criterion, label", [("LEMMA2", "none"), ("THEOREM3", "l1+rel_ent")])
+def test_channel_criteria_report_their_fixed_label(criterion, label):
+    for measure in (None, "skew"):
+        assert check_criterion(criterion, measure, small_cfg(dim=2, n=2)).measure == label
+
+
+def test_c5_rejects_nonpositive_jobs():
+    with pytest.raises(BadParamsError):
+        check_criterion("C5", "l1", small_cfg(n=2), jobs=0)
+
+
+def test_reevaluate_witness_rejects_unknown_criterion():
+    report = dataclasses.replace(skew_witness_report(3), criterion="C6")
+    with pytest.raises(BadParamsError):
+        reevaluate_witness(report)
 
 
 @pytest.mark.parametrize("name", ["l1", "rel_ent", "trivial"])
 def test_valid_measures_pass_c1_to_c4(name):
     cfg = small_cfg(n=120)
-    for check in (check_c1, check_c2, check_c3, check_c4):
-        report = check(name, cfg)
-        assert report.violations == 0, f"{check.__name__} {name}"
+    for criterion in ("C1", "C2", "C3", "C4"):
+        report = check_criterion(criterion, name, cfg)
+        assert report.violations == 0, f"{criterion} {name}"
         assert report.witness is None
         assert report.trials == 120
 
@@ -164,12 +184,12 @@ def test_valid_measures_pass_c1_to_c4(name):
 def test_lemma1_invariance_for_valid_measures():
     cfg = small_cfg(n=120)
     for name in ("l1", "rel_ent", "trivial", "int_rand"):
-        report = check_lemma1(name, cfg)
+        report = check_criterion("LEMMA1", name, cfg)
         assert report.violations == 0, name
 
 
 def test_skew_violates_c2_with_reproducible_witness():
-    report = check_c2("skew", small_cfg(n=100, seed=0))
+    report = check_criterion("C2", "skew", small_cfg(n=100, seed=0))
     assert report.violations >= 1
     assert report.witness is not None
     before, after = reevaluate_witness(report)
@@ -180,19 +200,19 @@ def test_skew_violates_c2_with_reproducible_witness():
 
 
 def test_skew_violates_lemma1_at_d3_but_not_d2():
-    assert check_lemma1("skew", small_cfg(dim=3, n=100)).violations > 0
-    assert check_lemma1("skew", small_cfg(dim=2, n=300)).violations == 0
+    assert check_criterion("LEMMA1", "skew", small_cfg(dim=3, n=100)).violations > 0
+    assert check_criterion("LEMMA1", "skew", small_cfg(dim=2, n=300)).violations == 0
 
 
 def test_lemma2_no_violations_and_exercises_cpo_branch():
-    report = check_lemma2(small_cfg(n=200))
+    report = check_criterion("LEMMA2", None, small_cfg(n=200))
     assert report.violations == 0
     # some trials are exempt (CPO on MCS input), so fewer slacks than trials
     assert report.trials == 200
 
 
 def test_theorem3_no_masquerading_channels():
-    report = check_theorem3(small_cfg(dim=2, n=60, n_kraus_range=(2, 4)))
+    report = check_criterion("THEOREM3", None, small_cfg(dim=2, n=60, n_kraus_range=(2, 4)))
     assert report.violations == 0
     assert report.worst_violation > 0  # channels visibly move the probe values
 
@@ -225,20 +245,20 @@ def test_cpo_channels_preserve_probe_values():
 
 
 def test_c5_l1_maximum_and_maximizers():
-    report = check_c5("l1", 3)
+    report = check_criterion("C5", "l1", TrialConfig(dim=3, n_trials=64))
     assert report.violations == 0
     assert abs(report.max_value - 2.0) <= 1e-6
     assert report.max_value <= 2.0 + 1e-9
 
 
 def test_c5_rel_ent_maximum():
-    report = check_c5("rel_ent", 2)
+    report = check_criterion("C5", "rel_ent", TrialConfig(dim=2, n_trials=64))
     assert report.violations == 0
     assert abs(report.max_value - 1.0) <= 1e-6
 
 
 def test_c5_trivial_fails_with_coherent_non_mcs_witness():
-    report = check_c5("trivial", 3)
+    report = check_criterion("C5", "trivial", TrialConfig(dim=3, n_trials=64))
     assert report.violations > 0
     w = report.witness
     assert w is not None
@@ -262,13 +282,13 @@ C5_MAXIMA = {
 @pytest.mark.parametrize("dim", [2, 3, 4])
 @pytest.mark.parametrize("measure", MEASURE_NAMES)
 def test_c5_closed_form_maxima(measure, dim):
-    report = check_c5(measure, dim, OptimizerConfig(restarts=8, seed=dim))
+    report = check_criterion("C5", measure, TrialConfig(dim=dim, n_trials=8, seed=dim))
     assert abs(report.max_value - C5_MAXIMA[measure](dim)) <= 1e-6
     fails = measure == "trivial" or (measure == "skew" and dim >= 3)
     assert (report.violations > 0) == fails
 
 
-# check_c5 at OptimizerConfig(restarts=8, seed=s), recorded from the scalar
+# C5 with 8 restarts and seed s, recorded from the scalar
 # ascent: (max_value, violations, worst_violation, witness amplitudes).
 C5_PINS = {
     ('l1', 2, 0): (0.9999999999999996, 0, 0.0009999814243922813, None),
@@ -308,7 +328,7 @@ C5_PINS = {
 def test_c5_pinned(key):
     measure, dim, seed = key
     max_value, violations, worst, amplitudes = C5_PINS[key]
-    report = check_c5(measure, dim, OptimizerConfig(restarts=8, seed=seed))
+    report = check_criterion("C5", measure, TrialConfig(dim=dim, n_trials=8, seed=seed))
     # skew's quadratic form rounds differently once stacked, which can flip a
     # near-tie acceptance at the 1e-15 margin and move a maximizer slightly
     loose = 1e-6 if measure == "skew" else 1e-12
@@ -374,17 +394,17 @@ def test_ascent_stack_matches_one_at_a_time(name, dim, kw):
 
 
 def test_c5_does_not_depend_on_block_size(monkeypatch):
-    opt = OptimizerConfig(restarts=10, seed=3)
+    cfg = TrialConfig(dim=3, n_trials=10, seed=3)
     reports = []
     for block in (64, 3, 1):
         monkeypatch.setattr(harness, "C5_BLOCK", block)
-        reports.append(json.dumps(check_c5("skew", 3, opt).to_dict()))
+        reports.append(json.dumps(check_criterion("C5", "skew", cfg).to_dict()))
     assert reports[0] == reports[1] == reports[2]
 
 
 def test_c5_rejects_bad_dim():
     with pytest.raises(BadDimError):
-        check_c5("l1", 1)
+        check_criterion("C5", "l1", TrialConfig(dim=1, n_trials=64))
 
 
 # ---------------------------------------------------------------------------
@@ -435,23 +455,23 @@ def test_skew_witness_is_the_inverse_relabeling_direction():
 
 
 def test_report_json_round_trip():
-    report = check_c2("skew", small_cfg(n=60, seed=1))
+    report = check_criterion("C2", "skew", small_cfg(n=60, seed=1))
     payload = json.loads(json.dumps(report.to_dict()))
     back = report_from_dict(payload)
     assert back.to_dict() == report.to_dict()
 
 
 def test_report_without_witness_round_trips():
-    report = check_c2("l1", small_cfg(n=30))
+    report = check_criterion("C2", "l1", small_cfg(n=30))
     back = report_from_dict(json.loads(json.dumps(report.to_dict())))
     assert back.to_dict() == report.to_dict()
 
 
 def test_witness_invariants_across_checks():
     reports = [
-        check_c2("skew", small_cfg(n=80)),
-        check_lemma1("skew", small_cfg(n=80)),
-        check_c2("l1", small_cfg(n=80)),
+        check_criterion("C2", "skew", small_cfg(n=80)),
+        check_criterion("LEMMA1", "skew", small_cfg(n=80)),
+        check_criterion("C2", "l1", small_cfg(n=80)),
     ]
     for r in reports:
         assert r.violations <= r.trials
@@ -501,7 +521,7 @@ def _plus(dim):
 def test_lemma2_witness_semantics_on_forced_example():
     # CPO on an MCS input produces an MCS output but is exempt: no violation.
     cfg = small_cfg(n=300, seed=2)
-    report = check_lemma2(cfg)
+    report = check_criterion("LEMMA2", None, cfg)
     assert report.violations == 0
     # the worst slack stays clearly positive: nothing got near the MCS set
     assert report.worst_violation > 1e-4

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from coherence_lab import states
 from coherence_lab.errors import (
     BadDimError,
+    BadPayloadError,
     BadRankError,
     NonFiniteError,
     NonHermitianError,
@@ -168,9 +169,9 @@ def test_state_json_round_trip():
 
 
 def test_state_from_dict_rejects_garbage():
-    with pytest.raises(ValueError):
+    with pytest.raises(BadPayloadError):
         state_from_dict({"dim": 2, "kind": "pure", "re": [1.0], "im": [0.0, 0.0]})
-    with pytest.raises(ValueError):
+    with pytest.raises(BadPayloadError):
         state_from_dict({"dim": 2, "kind": "other", "re": [1, 0], "im": [0, 0]})
 
 
