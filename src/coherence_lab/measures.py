@@ -122,7 +122,9 @@ def c_l1(rho: DensityMatrix | np.ndarray):
 
 def l1_pure(p: np.ndarray):
     """l1 of the pure state with basis probabilities p: (sum_i sqrt(p_i))^2 - sum_i p_i."""
-    return np.sqrt(p).sum(axis=-1) ** 2 - p.sum(axis=-1)
+    # np.square, not ** 2: a numpy float64 scalar's ** 2 can round differently
+    # from the array ufunc, so a single row would not match its stacked value
+    return np.square(np.sqrt(p).sum(axis=-1)) - p.sum(axis=-1)
 
 
 def c_rel_ent(rho: DensityMatrix | np.ndarray):
