@@ -9,8 +9,8 @@ Trials run in blocks of at most TRIAL_BLOCK.  Each trial draws its inputs
 from its own stream, and the measure is evaluated once per stack of the
 block's matrices, so that the block makes one spectral call where the
 trials alone would make one each; the stacked kernels round every row as
-they round one matrix.  LEMMA2 and THEOREM3 run their trials one at a time,
-and THEOREM3 measures its whole probe panel as one stack.
+they round one matrix.  THEOREM3 measures the whole probe panel of every
+channel in the block as one stack.
 
 Criteria: the keys of ``CRITERIA``, each run by ``check_criterion``
 -------------------------------------------------------------------
@@ -58,9 +58,9 @@ from .channels import (
     random_incoherent_unitary,
     unitary_from_dict,
 )
-from .errors import BadDimError, BadParamsError
+from .errors import BadDimError, BadParamsError, BadPayloadError
 from .measures import Measure, default_observable, measure_by_name
-from .mcs import is_mcs, mcs_deviation, mcs_sample
+from .mcs import mcs_deviation, mcs_sample
 from .states import DensityMatrix, PureState, dephase, from_pure, random_density, random_pure
 
 # C1 thresholds: zero level on incoherent inputs, and the floor a
@@ -129,23 +129,25 @@ class ViolationWitness:
 
 
 def witness_from_dict(payload: dict) -> ViolationWitness:
-    state = st_mod.state_from_dict(payload["state"])
-    if isinstance(state, PureState):
-        state = from_pure(state)
-    raw_channel = payload.get("channel")
-    if raw_channel is None:
-        channel = None
-    elif "kraus" in raw_channel:
-        channel = channel_from_dict(raw_channel)
-    else:
-        channel = unitary_from_dict(raw_channel)
-    return ViolationWitness(
-        state=state,
-        channel=channel,
-        value_before=float(payload["value_before"]),
-        value_after=float(payload["value_after"]),
-        aux=payload.get("aux"),
-    )
+    """Parse a witness's JSON form; BadPayloadError when it is malformed."""
+    try:
+        state = st_mod.state_from_dict(payload["state"])
+        raw_channel = payload.get("channel")
+        if raw_channel is None:
+            channel = None
+        elif "kraus" in raw_channel:
+            channel = channel_from_dict(raw_channel)
+        else:
+            channel = unitary_from_dict(raw_channel)
+        return ViolationWitness(
+            state=from_pure(state) if isinstance(state, PureState) else state,
+            channel=channel,
+            value_before=float(payload["value_before"]),
+            value_after=float(payload["value_after"]),
+            aux=payload.get("aux"),
+        )
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise BadPayloadError(f"malformed witness payload: {exc}") from exc
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
@@ -183,18 +185,22 @@ class CriterionReport:
 
 
 def report_from_dict(payload: dict) -> CriterionReport:
-    witness = payload.get("witness")
-    return CriterionReport(
-        criterion=payload["criterion"],
-        measure=payload["measure"],
-        dim=int(payload["dim"]),
-        trials=int(payload["trials"]),
-        violations=int(payload["violations"]),
-        worst_violation=float(payload["worst_violation"]),
-        witness=None if witness is None else witness_from_dict(witness),
-        seed=int(payload["seed"]),
-        max_value=payload.get("max_value"),
-    )
+    """Parse a report's JSON form; BadPayloadError when it is malformed."""
+    try:
+        witness = payload.get("witness")
+        return CriterionReport(
+            criterion=payload["criterion"],
+            measure=payload["measure"],
+            dim=int(payload["dim"]),
+            trials=int(payload["trials"]),
+            violations=int(payload["violations"]),
+            worst_violation=float(payload["worst_violation"]),
+            witness=None if witness is None else witness_from_dict(witness),
+            seed=int(payload["seed"]),
+            max_value=payload.get("max_value"),
+        )
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise BadPayloadError(f"malformed report payload: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -364,32 +370,25 @@ def _lemma1_block(measure_name: str, cfg: TrialConfig, trials: range) -> _Block:
     )
 
 
-def _lemma2_trial(cfg: TrialConfig, trial: int, rng: np.random.Generator):
-    """(slack, witness) of one trial: slack None when exempt, witness None unless violating."""
+def _lemma2_block(measure_name: str, cfg: TrialConfig, trials: range) -> _Block:
+    rngs = _trial_rngs(cfg, trials)
     # Half the inputs are maximally coherent, half generic.
-    if trial % 2 == 0:
-        rho = from_pure(mcs_sample(cfg.dim, rng))
-    else:
-        rho = _random_input(rng, cfg.dim, "any")
+    rhos = [
+        from_pure(mcs_sample(cfg.dim, rng)) if t % 2 == 0 else _random_input(rng, cfg.dim, "any")
+        for t, rng in zip(trials, rngs)
+    ]
     # A quarter of the channels are CPOs so the allowed branch gets exercised.
-    if rng.uniform() < 0.25:
-        channel: KrausChannel = random_incoherent_unitary(cfg.dim, rng).as_channel()
-    else:
-        channel = _random_channel(rng, cfg)
-    out = apply_channel(channel, rho)
-    if is_cpo(channel, cfg.tol) and is_mcs(rho, cfg.tol):
-        return None, None
-    out_dev = mcs_deviation(out)
-    slack = out_dev - cfg.tol
-    witness = None
-    if slack < 0:
-        witness = ViolationWitness(
-            state=rho,
-            channel=channel,
-            value_before=mcs_deviation(rho),
-            value_after=out_dev,
-        )
-    return slack, witness
+    channels = [
+        random_incoherent_unitary(cfg.dim, rng).as_channel() if rng.uniform() < 0.25
+        else _random_channel(rng, cfg)
+        for rng in rngs
+    ]
+    before = mcs_deviation(_stack(rhos))
+    after = mcs_deviation(np.stack([apply_channel(ch, rho.matrix) for ch, rho in zip(channels, rhos)]))
+    # a CPO acting on a maximally coherent input is exempt
+    counted = np.array([not is_cpo(ch, cfg.tol) for ch in channels]) | (before > cfg.tol)
+    slack = after - cfg.tol
+    return _block(slack, counted & (slack < 0), _mapped_witness(rhos, channels, before, after), counted)
 
 
 @lru_cache(maxsize=16)
@@ -424,53 +423,42 @@ def _panel_deviation(probes: np.ndarray, *channels: KrausChannel) -> np.ndarray:
     return np.maximum(l1_dev, rel_ent_dev).max(axis=1)
 
 
-def _theorem3_trial(cfg: TrialConfig, trial: int, rng: np.random.Generator):
-    """(slack, witness) of one trial: slack None when inconclusive, witness None unless violating."""
-    probes = _probe_panel(cfg.dim, cfg.seed, PROBE_COUNT)
+def _draw_non_cpo(rng: np.random.Generator, cfg: TrialConfig) -> tuple[KrausChannel, bool]:
+    """A random incoherent channel of at least two Kraus operators, redrawn
+    while it is a CPO, 8 draws at most; and whether it is not a CPO."""
     lo, hi = cfg.n_kraus_range
     lo = max(2, lo)
-    channel = None
     for _ in range(8):
         candidate = random_incoherent_channel(cfg.dim, int(rng.integers(lo, max(lo, hi) + 1)), rng)
         if not is_cpo(candidate, cfg.tol):
-            channel = candidate
-            break
-    if channel is None:  # vanishing-probability fallback; count as inconclusive
-        return None, None
-    cpo = random_incoherent_unitary(cfg.dim, rng)
-    dev, cpo_dev = _panel_deviation(probes, channel, cpo.as_channel()).tolist()
-    masquerade = dev <= cfg.tol
-    cpo_broken = cpo_dev > CPO_PRESERVE_TOL
+            return candidate, True
+    return candidate, False
 
-    slack = min(dev - cfg.tol, CPO_PRESERVE_TOL - cpo_dev)
-    witness = None
-    if masquerade or cpo_broken:
-        offender = channel if masquerade else cpo
+
+def _theorem3_block(measure_name: str, cfg: TrialConfig, trials: range) -> _Block:
+    probes = _probe_panel(cfg.dim, cfg.seed, PROBE_COUNT)
+    rngs = _trial_rngs(cfg, trials)
+    channels, found = zip(*(_draw_non_cpo(rng, cfg) for rng in rngs))
+    cpos = [random_incoherent_unitary(cfg.dim, rng) for rng in rngs]
+    dev, cpo_dev = np.split(_panel_deviation(probes, *channels, *(u.as_channel() for u in cpos)), 2)
+    # a trial whose 8 draws were all CPOs (vanishing probability) is inconclusive
+    counted = np.array(found)
+    masquerade = dev <= cfg.tol
+    slack = np.minimum(dev - cfg.tol, CPO_PRESERVE_TOL - cpo_dev)
+
+    def witness(i):
+        offender = channels[i] if masquerade[i] else cpos[i]
         probe = from_pure(PureState(probes[0]))
-        out = apply_channel(channel if masquerade else cpo.as_channel(), probe)
-        witness = ViolationWitness(
+        out = apply_channel(offender if masquerade[i] else offender.as_channel(), probe)
+        return ViolationWitness(
             state=probe,
             channel=offender,
             value_before=float(m_mod.l1_pure(np.abs(probes[0]) ** 2)),
             value_after=float(m_mod.c_l1(out)),
-            aux={"panel_deviation": dev, "cpo_deviation": cpo_dev, "measure": "l1"},
-        )
-    return slack, witness
-
-
-def _trialwise(trial_fn):
-    """Block function of a criterion whose trials run one at a time."""
-
-    def run(measure_name: str, cfg: TrialConfig, trials: range) -> _Block:
-        outcomes = [trial_fn(cfg, t, rng) for t, rng in zip(trials, _trial_rngs(cfg, trials))]
-        return _block(
-            slack=np.array([0.0 if s is None else s for s, _ in outcomes]),
-            violation=np.array([w is not None for _, w in outcomes], dtype=bool),
-            make_witness=lambda i: outcomes[i][1],
-            counted=np.array([s is not None for s, _ in outcomes], dtype=bool),
+            aux={"panel_deviation": float(dev[i]), "cpo_deviation": float(cpo_dev[i]), "measure": "l1"},
         )
 
-    return run
+    return _block(slack, counted & (masquerade | (cpo_dev > CPO_PRESERVE_TOL)), witness, counted)
 
 
 def _run_chunk(criterion: str, measure_name: str, cfg: TrialConfig, lo: int, hi: int):
@@ -579,32 +567,24 @@ def _c5_report(measure: str, cfg: TrialConfig) -> CriterionReport:
     m = measure_by_name(measure, dim=cfg.dim)
     rng = np.random.default_rng([cfg.seed, 424243])
     starts = rng.dirichlet(np.ones(cfg.dim), size=cfg.n_trials)
-    candidates = []
-    for b in range(0, len(starts), C5_BLOCK):
-        ws, vals = _ascend(m, starts[b : b + C5_BLOCK])
-        candidates.extend((val, PureState(np.sqrt(w))) for w, val in zip(ws, vals.tolist()))
-
-    best_val = max(val for val, _ in candidates)
-    slacks = []
-    offenders = []
-    for val, psi in candidates:
-        if val < best_val - C5_NEAR_MAX_WINDOW:
-            continue
-        rho = from_pure(psi)
-        deviation = mcs_deviation(rho)
-        slack = C5_MCS_TOL - deviation
-        slacks.append(slack)
-        if slack < 0:
-            offenders.append((slack, val, rho, deviation))
+    ascents = [_ascend(m, starts[b : b + C5_BLOCK]) for b in range(0, len(starts), C5_BLOCK)]
+    vals = np.concatenate([val for _, val in ascents])
+    best_val = float(vals.max())
+    near = np.flatnonzero(vals >= best_val - C5_NEAR_MAX_WINDOW)
+    amp = np.sqrt(np.concatenate([w for w, _ in ascents])[near]).astype(np.complex128)
+    rhos = amp[:, :, None] * amp[:, None, :].conj()
+    deviation = mcs_deviation(rhos)
+    slack = C5_MCS_TOL - deviation
+    offenders = np.flatnonzero(slack < 0)
 
     witness = None
-    if offenders:
-        _, val, rho, deviation = min(offenders, key=lambda t: t[0])
+    if offenders.size:
+        i = offenders[np.argmin(slack[offenders])]
         witness = ViolationWitness(
-            state=rho,
+            state=DensityMatrix(rhos[i], check_psd=False),
             channel=None,
-            value_before=val,
-            value_after=deviation,
+            value_before=float(vals[near[i]]),
+            value_after=float(deviation[i]),
             aux={"max_value": best_val},
         )
     return CriterionReport(
@@ -612,11 +592,11 @@ def _c5_report(measure: str, cfg: TrialConfig) -> CriterionReport:
         measure=measure,
         dim=cfg.dim,
         trials=cfg.n_trials,
-        violations=len(offenders),
-        worst_violation=float(min(slacks, default=0.0)),
+        violations=offenders.size,
+        worst_violation=float(slack.min()),
         witness=witness,
         seed=cfg.seed,
-        max_value=float(best_val),
+        max_value=best_val,
     )
 
 
@@ -728,10 +708,8 @@ CRITERIA = {
     "C4": Criterion(_c4_block, _c4_values),
     "C5": Criterion(None, lambda w, m: (m.evaluate(w.state), mcs_deviation(w.state)), trials=64),
     "LEMMA1": Criterion(_lemma1_block, lambda w, m: _values_under(w, m.evaluate)),
-    "LEMMA2": Criterion(_trialwise(_lemma2_trial), lambda w, _: _values_under(w, mcs_deviation), "none"),
-    "THEOREM3": Criterion(
-        _trialwise(_theorem3_trial), lambda w, _: _values_under(w, m_mod.c_l1), "l1+rel_ent"
-    ),
+    "LEMMA2": Criterion(_lemma2_block, lambda w, _: _values_under(w, mcs_deviation), "none"),
+    "THEOREM3": Criterion(_theorem3_block, lambda w, _: _values_under(w, m_mod.c_l1), "l1+rel_ent"),
 }
 
 

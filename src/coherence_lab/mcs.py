@@ -7,13 +7,11 @@ can be prepared deterministically with incoherent operations alone.
 
 from __future__ import annotations
 
-import dataclasses
-
 import numpy as np
 
 from .channels import KrausChannel
 from .errors import BadDimError
-from .states import DensityMatrix, PureState
+from .states import DensityMatrix, PureState, density_matrices, purity
 
 _TWO_PI = 2.0 * np.pi
 
@@ -25,39 +23,18 @@ def uniform_superposition(dim: int) -> PureState:
     return PureState(np.full(dim, 1.0 / np.sqrt(dim), dtype=np.complex128))
 
 
-@dataclasses.dataclass(frozen=True)
-class McsDescriptor:
-    """Phase vector of a maximally coherent state, gauge-fixed to phases[0] = 0."""
-
-    dim: int
-    phases: tuple
-
-    def __post_init__(self):
-        if self.dim < 2:
-            raise BadDimError("dim must be >= 2")
-        phases = np.asarray(self.phases, dtype=np.float64).reshape(-1)
-        if phases.size != self.dim:
-            raise BadDimError(f"need {self.dim} phases, got {phases.size}")
-        phases = np.mod(phases - phases[0], _TWO_PI)
-        object.__setattr__(self, "phases", tuple(float(t) for t in phases))
-
-    def realize(self) -> PureState:
-        amp = np.exp(1j * np.array(self.phases)) / np.sqrt(self.dim)
-        return PureState(amp)
-
-
-def mcs_deviation(rho: DensityMatrix) -> float:
+def mcs_deviation(rho: DensityMatrix | np.ndarray):
     """How far rho is from the maximally coherent set: max of the purity
-    defect 1 - tr(rho^2) and the largest diagonal deviation from 1/d."""
-    diag_dev = float(np.max(np.abs(rho.diagonal - 1.0 / rho.dim)))
-    return max(1.0 - rho.purity, diag_dev)
+    defect 1 - tr(rho^2) and the largest diagonal deviation from 1/d.  Takes
+    a DensityMatrix, or a stack ``(..., d, d)`` as the ``c_*`` measures do."""
+    m = density_matrices(rho)
+    diag_dev = np.abs(np.diagonal(m, axis1=-2, axis2=-1).real - 1.0 / m.shape[-1]).max(axis=-1)
+    return np.maximum(1.0 - purity(m), diag_dev)
 
 
 def is_mcs(rho: DensityMatrix, tol: float = 1e-8) -> bool:
     """True iff rho is pure within tol and has uniform diagonal within tol."""
-    if 1.0 - rho.purity > tol:  # cheap reject before touching the diagonal
-        return False
-    return bool(float(np.max(np.abs(rho.diagonal - 1.0 / rho.dim))) <= tol)
+    return bool(mcs_deviation(rho) <= tol)
 
 
 def mcs_sample(dim: int, seed) -> PureState:
@@ -66,7 +43,7 @@ def mcs_sample(dim: int, seed) -> PureState:
         raise BadDimError("dim must be >= 2")
     rng = np.random.default_rng(seed)
     phases = np.concatenate(([0.0], rng.uniform(0.0, _TWO_PI, dim - 1)))
-    return McsDescriptor(dim=dim, phases=tuple(phases)).realize()
+    return PureState(np.exp(1j * phases) / np.sqrt(dim))
 
 
 def transform_mcs_to(target: PureState) -> KrausChannel:

@@ -309,7 +309,7 @@ def c_int_rand(rho: DensityMatrix | np.ndarray, opt: Optional[OptimizerConfig] =
     """
     m = density_matrices(rho)
     flat = m.reshape(-1, *m.shape[-2:])
-    pure = (flat.real**2 + flat.imag**2).sum(axis=(-2, -1)) >= 1.0 - 1e-10
+    pure = states.purity(flat) >= 1.0 - 1e-10
     values = np.empty(len(flat))
     if pure.any():
         values[pure] = c_rel_ent(flat[pure])

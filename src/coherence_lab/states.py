@@ -100,11 +100,6 @@ class DensityMatrix:
     def eigen(self) -> numerics.HermitianEigen:
         return numerics.psd_eigen(self.matrix, "density matrix")
 
-    @cached_property
-    def purity(self) -> float:
-        """tr(rho^2), real part."""
-        return float(np.vdot(self.matrix, self.matrix).real)
-
     @property
     def diagonal(self) -> np.ndarray:
         return np.diag(self.matrix).real
@@ -162,6 +157,12 @@ def off_diagonal_mass(rho: DensityMatrix | np.ndarray):
     each matrix in a stack ``(..., d, d)``."""
     m = np.abs(density_matrices(rho))
     return m.sum(axis=(-2, -1)) - np.trace(m, axis1=-2, axis2=-1)
+
+
+def purity(rho: DensityMatrix | np.ndarray):
+    """tr(rho^2) of a density matrix, or of each matrix in a stack ``(..., d, d)``."""
+    # a Hermitian matrix's tr(rho^2) is its squared Frobenius norm
+    return numerics._squared_norms(density_matrices(rho))
 
 
 def is_incoherent(rho: DensityMatrix, tol: float = INCOHERENCE_TOL) -> bool:

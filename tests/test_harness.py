@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from coherence_lab import harness
 from coherence_lab.channels import IncoherentUnitary, KrausChannel, apply_channel
-from coherence_lab.errors import BadDimError, BadParamsError
+from coherence_lab.errors import BadDimError, BadParamsError, BadPayloadError
 from coherence_lab.harness import (
     CriterionReport,
     TrialConfig,
@@ -215,6 +215,13 @@ def test_theorem3_no_masquerading_channels():
     report = check_criterion("THEOREM3", None, small_cfg(dim=2, n=60, n_kraus_range=(2, 4)))
     assert report.violations == 0
     assert report.worst_violation > 0  # channels visibly move the probe values
+
+
+def test_theorem3_trials_without_a_non_cpo_channel_are_inconclusive(monkeypatch):
+    # every draw a CPO: no trial tests anything, so none violates or sets the worst slack
+    monkeypatch.setattr(harness, "is_cpo", lambda channel, tol: True)
+    report = check_criterion("THEOREM3", None, small_cfg(dim=2, n=5))
+    assert (report.trials, report.violations, report.worst_violation, report.witness) == (5, 0, 0.0, None)
 
 
 def test_projective_channel_fails_preservation_on_probes():
@@ -465,6 +472,19 @@ def test_report_without_witness_round_trips():
     report = check_criterion("C2", "l1", small_cfg(n=30))
     back = report_from_dict(json.loads(json.dumps(report.to_dict())))
     assert back.to_dict() == report.to_dict()
+
+
+@pytest.mark.parametrize("parse", [report_from_dict, harness.witness_from_dict])
+@pytest.mark.parametrize("malform", ["empty", "bad float", "list"])
+def test_malformed_report_payloads_raise_bad_payload(parse, malform):
+    report = check_criterion("C2", "skew", small_cfg(n=60, seed=1))
+    payload = json.loads(json.dumps(report.to_dict()))
+    if parse is harness.witness_from_dict:
+        payload = payload["witness"]
+    float_field = "worst_violation" if parse is report_from_dict else "value_before"
+    bad = {"empty": {}, "bad float": {**payload, float_field: "x"}, "list": []}[malform]
+    with pytest.raises(BadPayloadError):
+        parse(bad)
 
 
 def test_witness_invariants_across_checks():

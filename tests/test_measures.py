@@ -22,13 +22,14 @@ from coherence_lab.measures import (
     rel_ent_pure,
     shannon_entropy,
 )
-from coherence_lab.mcs import uniform_superposition
+from coherence_lab.mcs import is_mcs, mcs_deviation, mcs_sample, uniform_superposition
 from coherence_lab.states import (
     DensityMatrix,
     PureState,
     dephase,
     from_pure,
     off_diagonal_mass,
+    purity,
     random_density,
     random_pure,
 )
@@ -421,15 +422,18 @@ def test_pure_measures_evaluate_stacks_row_by_row(name, stack):
 @st.composite
 def density_stacks(draw):
     """A stack (n, k, d, d) of random density matrices in d = 2..8, of ranks
-    1..d, some of them dephased (incoherent)."""
+    1..d, some of them dephased (incoherent) and some maximally coherent."""
     dim = draw(st.integers(2, 8))
     n = draw(st.integers(1, 3))
     k = draw(st.integers(1, 4))
     ranks = draw(st.lists(st.integers(1, dim), min_size=n * k, max_size=n * k))
-    flat = draw(st.lists(st.booleans(), min_size=n * k, max_size=n * k))
+    kinds = draw(st.lists(st.sampled_from(("random", "dephased", "mcs")), min_size=n * k, max_size=n * k))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     rhos = [random_density(dim, rank, rng) for rank in ranks]
-    rhos = [dephase(rho) if f else rho for rho, f in zip(rhos, flat)]
+    rhos = [
+        dephase(rho) if kind == "dephased" else from_pure(mcs_sample(dim, rng)) if kind == "mcs" else rho
+        for rho, kind in zip(rhos, kinds)
+    ]
     return np.stack([rho.matrix for rho in rhos]).reshape(n, k, dim, dim)
 
 
@@ -445,6 +449,20 @@ def test_measures_evaluate_density_stacks_row_by_row(name, stack):
         np.testing.assert_allclose(values, rows, rtol=0, atol=1e-15)
     else:
         np.testing.assert_array_equal(values, rows)
+
+
+@pytest.mark.parametrize("fn", (purity, mcs_deviation))
+@settings(max_examples=50, deadline=None)
+@given(stack=density_stacks())
+def test_mcs_functions_evaluate_density_stacks_row_by_row(fn, stack):
+    values = fn(stack)
+    assert values.shape == stack.shape[:-2]
+    rows = np.array([[fn(DensityMatrix(x, check_psd=False)) for x in block] for block in stack])
+    np.testing.assert_array_equal(values, rows)
+    if fn is mcs_deviation:
+        for tol in (1e-12, 1e-8, 1e-3):
+            verdicts = [[is_mcs(DensityMatrix(x, check_psd=False), tol) for x in block] for block in stack]
+            np.testing.assert_array_equal(verdicts, values <= tol)
 
 
 def test_int_rand_stack_takes_pure_rows_through_rel_ent():

@@ -13,6 +13,7 @@ from coherence_lab.errors import (
     NonSquareError,
     NotNormalizedError,
 )
+from coherence_lab.mcs import mcs_deviation
 from coherence_lab.states import (
     DensityMatrix,
     PureState,
@@ -21,6 +22,7 @@ from coherence_lab.states import (
     fidelity_pure,
     from_pure,
     is_incoherent,
+    purity,
     random_density,
     random_pure,
     state_from_dict,
@@ -112,7 +114,7 @@ def test_random_pure_haar_first_moment():
 
 def test_random_density_ranks_and_determinism():
     pure = random_density(4, 1, 6)
-    assert abs(pure.purity - 1.0) <= 1e-10
+    assert abs(purity(pure) - 1.0) <= 1e-10
     full = random_density(4, 4, 6)
     assert abs(np.trace(full.matrix).real - 1.0) <= 1e-12
     assert np.all(full.eigen.eigenvalues > 0)
@@ -143,8 +145,9 @@ def test_stack_validation_raises_the_per_object_types(bad, error):
     good = np.eye(2) / 2
     with pytest.raises(error):
         DensityMatrix(bad)
-    with pytest.raises(error):
-        density_matrices(np.stack([good, bad]))
+    for stacked in (density_matrices, purity, mcs_deviation):
+        with pytest.raises(error):
+            stacked(np.stack([good, bad]))
 
 
 def test_density_stacks_are_stacks_of_square_matrices():
