@@ -11,7 +11,7 @@ import numpy as np
 
 from .channels import KrausChannel
 from .errors import BadDimError
-from .states import DensityMatrix, PureState, density_matrices, purity
+from .states import DensityMatrix, PureState, _purity, density_matrices
 
 _TWO_PI = 2.0 * np.pi
 
@@ -29,7 +29,7 @@ def mcs_deviation(rho: DensityMatrix | np.ndarray):
     a DensityMatrix, or a stack ``(..., d, d)`` as the ``c_*`` measures do."""
     m = density_matrices(rho)
     diag_dev = np.abs(np.diagonal(m, axis1=-2, axis2=-1).real - 1.0 / m.shape[-1]).max(axis=-1)
-    return np.maximum(1.0 - purity(m), diag_dev)
+    return np.maximum(1.0 - _purity(m), diag_dev)
 
 
 def is_mcs(rho: DensityMatrix, tol: float = 1e-8) -> bool:

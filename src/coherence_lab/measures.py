@@ -198,8 +198,8 @@ def _refine_mixer(ws: np.ndarray, b: np.ndarray, cfg: OptimizerConfig, floor: fl
     ``floor``, after cfg.max_iterations passes or at _RANK_TOL.  A rotation
     touches two rows, hence two ensemble members, so acceptance tests are
     incremental.  Per row pair, the four trial rotations of every isometry
-    are scored in one array evaluation, and those after an accepted one are
-    scored again from the new point.  Returns the isometries and their values.
+    are scored in one array evaluation; after an accepted one, the phi = pi/2
+    trials still ahead are rescored.  Returns the isometries and their values.
     """
     n, m, _ = ws.shape
     d = b.shape[0]
@@ -231,7 +231,8 @@ def _refine_mixer(ws: np.ndarray, b: np.ndarray, cfg: OptimizerConfig, floor: fl
                 ok = (gain > 1e-14) & (np.arange(4) >= first[:, None])
                 f = ok.argmax(axis=1)  # the first accepted trial, where ok has one
                 hit = ok[rows, f]
-                first = np.where(hit, f + 1, 4)
+                # R(-t) = R(t)^-1, so the accepted phase's other sign would only undo it
+                first = np.where(hit & (f < 2), 2, 4)
                 if np.count_nonzero(hit):
                     k, f = rows[hit], f[hit]
                     x[k[:, None], (i, j)] = trial[k, f]
@@ -253,11 +254,11 @@ def convex_roof_ensemble(
 ) -> tuple[float, Ensemble]:
     """Best ensemble found for the intrinsic-randomness minimization.
 
-    Ensembles are generated from the eigendecomposition mixed through an
-    m x r isometry with m = d^2 members; the eigenensemble itself is always
-    among the candidates, so the result never exceeds the eigendecomposition
-    average.  The value is an upper bound on the exact convex roof.  The
-    random restarts are refined together, as one stack.
+    Ensembles are the eigendecomposition mixed through an m x r isometry,
+    m = r^2 for rank r, which suffices for the roof (Uhlmann, Entropy 12,
+    1799 (2010)); the eigenensemble is always among the candidates, so the
+    result never exceeds the eigendecomposition average.  The value is an
+    upper bound on the exact roof.  Random restarts are refined as one stack.
     """
     opt = opt or OptimizerConfig()
     eig = rho.eigen
@@ -268,15 +269,13 @@ def convex_roof_ensemble(
     r = q.size
     b = phi * np.sqrt(q)  # d x r, rho = b b†
 
-    rng = np.random.default_rng(opt.seed)
-    m = rho.dim * rho.dim
     coarse = max(1e-3, opt.step_tol)
 
     (best_w,), (best_val,) = _refine_mixer(np.eye(r, dtype=np.complex128)[None], b, opt, coarse)
 
     if best_val > _RANK_TOL:
-        # per restart: real part, then imaginary part, of an m x r Gaussian
-        g = rng.standard_normal((opt.restarts, 2, m, r))
+        # per restart: real part, then imaginary part, of an m x r Gaussian, m = r^2
+        g = np.random.default_rng(opt.seed).standard_normal((opt.restarts, 2, r * r, r))
         ws, values = _refine_mixer(np.linalg.qr(g[:, 0] + 1j * g[:, 1])[0], b, opt, coarse)
         for w, val in zip(ws, values):
             if best_val <= _RANK_TOL:
@@ -309,7 +308,7 @@ def c_int_rand(rho: DensityMatrix | np.ndarray, opt: Optional[OptimizerConfig] =
     """
     m = density_matrices(rho)
     flat = m.reshape(-1, *m.shape[-2:])
-    pure = states.purity(flat) >= 1.0 - 1e-10
+    pure = states._purity(flat) >= 1.0 - 1e-10
     values = np.empty(len(flat))
     if pure.any():
         values[pure] = c_rel_ent(flat[pure])

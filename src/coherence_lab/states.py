@@ -100,10 +100,6 @@ class DensityMatrix:
     def eigen(self) -> numerics.HermitianEigen:
         return numerics.psd_eigen(self.matrix, "density matrix")
 
-    @property
-    def diagonal(self) -> np.ndarray:
-        return np.diag(self.matrix).real
-
     def to_dict(self) -> dict:
         return {
             "dim": self.dim,
@@ -161,8 +157,13 @@ def off_diagonal_mass(rho: DensityMatrix | np.ndarray):
 
 def purity(rho: DensityMatrix | np.ndarray):
     """tr(rho^2) of a density matrix, or of each matrix in a stack ``(..., d, d)``."""
+    return _purity(density_matrices(rho))
+
+
+def _purity(m: np.ndarray) -> np.ndarray:
+    """``purity`` of a stack that ``density_matrices`` has already validated."""
     # a Hermitian matrix's tr(rho^2) is its squared Frobenius norm
-    return numerics._squared_norms(density_matrices(rho))
+    return numerics._squared_norms(m)
 
 
 def is_incoherent(rho: DensityMatrix, tol: float = INCOHERENCE_TOL) -> bool:

@@ -86,6 +86,17 @@ def test_canonical_form_round_trip():
             assert np.max(np.abs(a - b)) <= 1e-12
 
 
+@settings(max_examples=60, deadline=None)
+@given(dim=st.integers(2, 8), n_kraus=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
+def test_canonical_form_round_trip_acts_like_the_channel(dim, n_kraus, seed):
+    rng = np.random.default_rng(seed)
+    ch = random_incoherent_channel(dim, n_kraus, rng)
+    rebuilt = canonical_form(ch).reconstruct()
+    assert rebuilt.n_kraus == n_kraus
+    rhos = np.stack([random_density(dim, rank, rng).matrix for rank in (1, dim)])
+    np.testing.assert_allclose(apply_channel(rebuilt, rhos), apply_channel(ch, rhos), rtol=0, atol=1e-12)
+
+
 def test_canonical_form_rejects_coherent_channel():
     with pytest.raises(NotIncoherentError):
         canonical_form(KrausChannel((HADAMARD,)))

@@ -346,7 +346,7 @@ def test_c5_pinned(key):
         assert report.witness is None
     else:
         np.testing.assert_allclose(
-            np.sqrt(report.witness.state.diagonal), amplitudes, rtol=0, atol=loose
+            np.sqrt(np.diagonal(report.witness.state.matrix).real), amplitudes, rtol=0, atol=loose
         )
 
 

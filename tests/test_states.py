@@ -85,7 +85,7 @@ def test_dephase_output_is_incoherent(seed, dim):
     deph = dephase(rho)
     assert is_incoherent(deph, 1e-9)
     assert np.array_equal(deph.matrix, dephase(deph).matrix)
-    np.testing.assert_allclose(deph.diagonal, rho.diagonal, atol=0)
+    np.testing.assert_allclose(np.diagonal(deph.matrix).real, np.diagonal(rho.matrix).real, atol=0)
 
 
 def test_is_incoherent_examples():
