@@ -230,27 +230,24 @@ class IncoherentUnitary:
         return {"dim": self.dim, "perm": list(self.perm), "phases": list(self.phases)}
 
 
-def choi_matrix(ch: KrausChannel) -> np.ndarray:
-    """sum_n |K_n>><<K_n| with row-major vectorization; rank = minimal Kraus count."""
-    vecs = [k.reshape(-1) for k in ch.kraus]
-    d2 = ch.dim * ch.dim
-    j = np.zeros((d2, d2), dtype=np.complex128)
-    for v in vecs:
-        j += np.outer(v, v.conj())
-    return j
-
-
-def is_cpo(ch: KrausChannel, tol: float = 1e-8) -> bool:
+def is_cpo(
+    ch: KrausChannel, tol: float = 1e-8, *, entry_tol: float = INCOHERENT_ENTRY_TOL
+) -> bool:
     """True iff the channel is coherence preserving: unitary and incoherent.
 
-    Unitarity is decided by the Choi spectrum (second eigenvalue <= tol times
-    the largest), which is robust to Kraus sets with repeated proportional
-    operators.
+    Incoherence is decided as in ``is_incoherent_channel(ch, entry_tol)``.
+    Unitarity is decided on the n x n Kraus Gram matrix G_ab = tr(K_a† K_b),
+    whose nonzero eigenvalues are those of the d^2 x d^2 Choi matrix: a
+    single complete operator is unitary, and n >= 2 operators make a unitary
+    map when the second-largest eigenvalue is at most tol times the largest,
+    which admits Kraus sets with repeated proportional operators.
     """
-    if not is_incoherent_channel(ch):
+    if not is_incoherent_channel(ch, entry_tol):
         return False
-    eig = numerics.hermitian_eigen(choi_matrix(ch))
-    w = eig.eigenvalues
+    if ch.n_kraus == 1:
+        return True
+    flat = np.stack(ch.kraus).reshape(ch.n_kraus, -1)
+    w = numerics.hermitian_eigen(flat.conj() @ flat.T).eigenvalues
     return bool(w[-2] <= tol * w[-1])
 
 

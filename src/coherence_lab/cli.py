@@ -125,7 +125,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_channel = sub.add_parser("check-channel", help="incoherence and CPO verdicts")
     p_channel.add_argument("--channel", required=True, help="channel JSON file")
-    p_channel.add_argument("--tol", type=float, default=ch_mod.INCOHERENT_ENTRY_TOL)
+    p_channel.add_argument("--tol", type=float, default=ch_mod.INCOHERENT_ENTRY_TOL,
+                           help="entry tolerance, default 1e-9, of all three verdicts: "
+                                "incoherent, cpo and canonical_form")
     p_channel.add_argument("--out", default=None)
 
     p_verify = sub.add_parser("verify", help="run randomized criterion suites")
@@ -180,7 +182,7 @@ def _cmd_measure(args) -> int:
 def _cmd_check_channel(args) -> int:
     channel = _load_channel(args.channel)
     incoherent = ch_mod.is_incoherent_channel(channel, args.tol)
-    cpo = ch_mod.is_cpo(channel) if incoherent else False
+    cpo = ch_mod.is_cpo(channel, entry_tol=args.tol)
     canonical = None
     if incoherent:
         form = ch_mod.canonical_form(channel, args.tol)

@@ -260,8 +260,13 @@ def convex_roof_ensemble(
     result never exceeds the eigendecomposition average.  The value is an
     upper bound on the exact roof.  Random restarts are refined as one stack.
     """
+    return _convex_roof(rho.matrix, opt)
+
+
+def _convex_roof(m: np.ndarray, opt: Optional[OptimizerConfig]) -> tuple[float, Ensemble]:
+    """``convex_roof_ensemble`` of a density matrix that ``density_matrices`` validated."""
     opt = opt or OptimizerConfig()
-    eig = rho.eigen
+    eig = numerics.psd_eigen(m, "density matrix")
     keep = eig.eigenvalues > _RANK_TOL
     q = eig.eigenvalues[keep]
     q = q / q.sum()
@@ -294,7 +299,7 @@ def convex_roof_ensemble(
         PureState(members[:, i] / np.sqrt(probs[i])) for i in np.nonzero(kept)[0]
     )
     ensemble = Ensemble(weights=weights, states=pure_states)
-    defect = numerics.frobenius(ensemble.reconstruction() - rho.matrix)
+    defect = numerics.frobenius(ensemble.reconstruction() - m)
     if defect > 1e-9:
         raise OptimizerFailedError(f"ensemble reconstructs rho to {defect:.3e} > 1e-9")
     return float(best_val), ensemble
@@ -313,7 +318,7 @@ def c_int_rand(rho: DensityMatrix | np.ndarray, opt: Optional[OptimizerConfig] =
     if pure.any():
         values[pure] = c_rel_ent(flat[pure])
     for i in np.flatnonzero(~pure):
-        values[i], _ = convex_roof_ensemble(DensityMatrix(flat[i], check_psd=False), opt)
+        values[i], _ = _convex_roof(flat[i], opt)
     return values.reshape(m.shape[:-2])[()]
 
 

@@ -130,9 +130,3 @@ def psd_sqrt(a) -> np.ndarray:
     v = eig.eigenvectors
     s = (v * root[..., None, :]) @ dagger(v)
     return (s + dagger(s)) / 2.0
-
-
-def is_unitary(u, tol: float) -> bool:
-    """True iff ‖u†u − I‖_F ≤ tol."""
-    u = as_square_matrix(u)
-    return frobenius(dagger(u) @ u - np.eye(u.shape[0])) <= tol

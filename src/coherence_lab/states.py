@@ -166,11 +166,6 @@ def _purity(m: np.ndarray) -> np.ndarray:
     return numerics._squared_norms(m)
 
 
-def is_incoherent(rho: DensityMatrix, tol: float = INCOHERENCE_TOL) -> bool:
-    """True iff the summed off-diagonal moduli do not exceed tol."""
-    return bool(off_diagonal_mass(rho) <= tol)
-
-
 def random_pure(dim: int, seed) -> PureState:
     """Haar-random pure state: normalized standard complex Gaussian vector."""
     if dim < 2:

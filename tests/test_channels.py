@@ -10,7 +10,6 @@ from coherence_lab.channels import (
     apply_selective,
     canonical_form,
     channel_from_dict,
-    choi_matrix,
     is_cpo,
     is_incoherent_channel,
     random_incoherent_channel,
@@ -29,8 +28,8 @@ from coherence_lab.states import (
     DensityMatrix,
     PureState,
     from_pure,
-    is_incoherent,
     density_matrices,
+    off_diagonal_mass,
     random_density,
 )
 
@@ -191,9 +190,33 @@ def test_is_cpo_handles_redundant_kraus_sets():
     assert is_cpo(ch)
 
 
-def test_choi_rank_counts_kraus_operators():
-    eig = np.linalg.eigvalsh(choi_matrix(projective_channel(3)))
-    assert (eig > 1e-10).sum() == 3
+def choi_says_unitary(ch, tol):
+    """Reference: the Choi matrix sum_n |K_n>><<K_n| has one dominant eigenvalue."""
+    vecs = np.stack([k.reshape(-1) for k in ch.kraus])
+    w = np.linalg.eigvalsh(vecs.T @ vecs.conj())
+    return bool(w[-2] <= tol * w[-1])
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    dim=st.integers(2, 8),
+    n_kraus=st.integers(1, 4),
+    split=st.booleans(),
+    tol=st.sampled_from([1e-8, 0.5]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_is_cpo_agrees_with_choi_spectrum(dim, n_kraus, split, tol, seed):
+    rng = np.random.default_rng(seed)
+    if split:  # an incoherent unitary split into proportional operators
+        u = random_incoherent_unitary(dim, rng).matrix()
+        weights = rng.dirichlet(np.ones(n_kraus))
+        phases = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, n_kraus))
+        ch = KrausChannel(tuple(np.sqrt(p) * z * u for p, z in zip(weights, phases)))
+    else:
+        ch = random_incoherent_channel(dim, n_kraus, rng)
+    assert is_cpo(ch, tol) == (is_incoherent_channel(ch) and choi_says_unitary(ch, tol))
+    if split:
+        assert is_cpo(ch, tol)
 
 
 def test_random_incoherent_channel_properties():
@@ -242,9 +265,9 @@ def test_incoherent_channels_preserve_incoherence():
     for seed in range(10):
         ch = random_incoherent_channel(3, 3, [40, seed])
         diag = DensityMatrix(np.diag(np.random.default_rng([41, seed]).dirichlet(np.ones(3))))
-        assert is_incoherent(apply_channel(ch, diag), 1e-9)
+        assert off_diagonal_mass(apply_channel(ch, diag)) <= 1e-9
         for _, branch in apply_selective(ch, diag):
-            assert is_incoherent(branch, 1e-9)
+            assert off_diagonal_mass(branch) <= 1e-9
 
 
 def test_channel_from_dict_caps_dim_at_16():

@@ -63,6 +63,20 @@ def test_check_channel_permutation(tmp_path, capsys):
     assert result["canonical_form"]["column_maps"] == [[1, 0]]
 
 
+def test_check_channel_tol_covers_the_cpo_verdict(tmp_path, capsys):
+    # a swap with a 1e-6 stray entry, made exactly unitary: incoherent only at a loose tol
+    w, _, vh = np.linalg.svd(np.array([[1e-6, 1.0], [1.0, 0.0]]))
+    u = w @ vh
+    payload = {"dim": 2, "kraus": [{"re": u.reshape(-1).tolist(), "im": [0.0] * 4}]}
+    path = tmp_path / "near_swap.json"
+    path.write_text(json.dumps(payload))
+    for argv, verdict in ((["--tol", "1e-3"], True), ([], False)):
+        code, result = run_json(capsys, ["check-channel", "--channel", str(path), *argv])
+        assert code == 0
+        assert result["incoherent"] is result["cpo"] is verdict
+        assert (result["canonical_form"] is not None) is verdict
+
+
 def test_verify_skew_c2_finds_violations(capsys):
     code, payload = run_json(
         capsys,

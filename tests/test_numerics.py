@@ -151,12 +151,3 @@ def test_psd_sqrt_clamps_small_negatives():
 def test_psd_sqrt_rejects_clearly_negative():
     with pytest.raises(NotPSDError):
         numerics.psd_sqrt(np.diag([1.0, -1e-6]))
-
-
-def test_is_unitary():
-    assert numerics.is_unitary(np.eye(4), 1e-10)
-    hadamard = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2)
-    assert numerics.is_unitary(hadamard, 1e-10)
-    assert not numerics.is_unitary(np.diag([1.0, 0.5]), 1e-10)
-    with pytest.raises(NonSquareError):
-        numerics.is_unitary(np.ones((2, 3)), 1e-10)

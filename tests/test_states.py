@@ -21,7 +21,7 @@ from coherence_lab.states import (
     dephase,
     fidelity_pure,
     from_pure,
-    is_incoherent,
+    off_diagonal_mass,
     purity,
     random_density,
     random_pure,
@@ -83,15 +83,15 @@ def test_dephase_uniform_superposition():
 def test_dephase_output_is_incoherent(seed, dim):
     rho = random_density(dim, dim, seed)
     deph = dephase(rho)
-    assert is_incoherent(deph, 1e-9)
+    assert off_diagonal_mass(deph) <= 1e-9
     assert np.array_equal(deph.matrix, dephase(deph).matrix)
     np.testing.assert_allclose(np.diagonal(deph.matrix).real, np.diagonal(rho.matrix).real, atol=0)
 
 
 def test_is_incoherent_examples():
-    assert is_incoherent(DensityMatrix(np.diag([0.3, 0.7])), 1e-9)
+    assert off_diagonal_mass(DensityMatrix(np.diag([0.3, 0.7]))) <= 1e-9
     plus = from_pure(PureState(np.array([1.0, 1.0]) / np.sqrt(2)))
-    assert not is_incoherent(plus, 1e-9)
+    assert off_diagonal_mass(plus) > 1e-9
 
 
 def test_random_pure_deterministic_and_normalized():
