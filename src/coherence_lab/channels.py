@@ -21,7 +21,7 @@ from .errors import (
     IncompleteChannelError,
     NotIncoherentError,
 )
-from .numerics import dagger, frobenius
+from .numerics import dagger
 from .states import DensityMatrix
 
 COMPLETENESS_TOL = 1e-10
@@ -46,11 +46,7 @@ class KrausChannel:
         d = ops[0].shape[-1]
         if any(k.shape != (d, d) for k in ops):
             raise DimMismatchError("Kraus operators must all be d x d matrices of one d")
-        gram = sum(dagger(k) @ k for k in ops)
-        if frobenius(gram - np.eye(d)) > COMPLETENESS_TOL:
-            raise IncompleteChannelError(
-                f"completeness defect {frobenius(gram - np.eye(d)):.3e} exceeds 1e-10"
-            )
+        _check_complete(np.stack(ops))
         object.__setattr__(self, "kraus", ops)
 
     @property
@@ -71,12 +67,17 @@ class KrausChannel:
         }
 
 
+def _check_complete(ops: np.ndarray) -> None:
+    """IncompleteChannelError unless sum_n K_n† K_n = I within COMPLETENESS_TOL
+    (Frobenius) for the Kraus set (n, d, d), or for each one in a stack (..., n, d, d)."""
+    defect = np.sqrt(numerics._squared_norms((dagger(ops) @ ops).sum(axis=-3) - np.eye(ops.shape[-1])))
+    if (defect > COMPLETENESS_TOL).any():
+        raise IncompleteChannelError(f"completeness defect {defect.max():.3e} exceeds 1e-10")
+
+
 def is_incoherent_channel(ch: KrausChannel, tol: float = INCOHERENT_ENTRY_TOL) -> bool:
     """True iff every Kraus operator has at most one entry above tol per column."""
-    for k in ch.kraus:
-        if bool(np.any((np.abs(k) > tol).sum(axis=0) > 1)):
-            return False
-    return True
+    return not bool(((np.abs(np.stack(ch.kraus)) > tol).sum(axis=-2) > 1).any())
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
@@ -96,13 +97,8 @@ class IncoherentKrausForm:
     phases: np.ndarray  # (n, d) in [0, 2pi)
 
     def reconstruct(self) -> KrausChannel:
-        ops = []
-        cols = np.arange(self.dim)
-        for p, rows, mag, ang in zip(self.weights, self.column_maps, self.moduli, self.phases):
-            k = np.zeros((self.dim, self.dim), dtype=np.complex128)
-            k[rows, cols] = np.sqrt(p) * mag * np.exp(1j * ang)
-            ops.append(k)
-        return KrausChannel(tuple(ops))
+        moduli = np.sqrt(self.weights)[:, None] * self.moduli
+        return KrausChannel(tuple(_monomials(self.column_maps, moduli, self.phases)))
 
 
 def canonical_form(ch: KrausChannel, tol: float = INCOHERENT_ENTRY_TOL) -> IncoherentKrausForm:
@@ -114,27 +110,19 @@ def canonical_form(ch: KrausChannel, tol: float = INCOHERENT_ENTRY_TOL) -> Incoh
     """
     if not is_incoherent_channel(ch, tol):
         raise NotIncoherentError("channel has a Kraus column with multiple entries")
-    d = ch.dim
-    n = ch.n_kraus
-    weights = np.zeros(n)
-    column_maps = np.zeros((n, d), dtype=np.intp)
-    moduli = np.zeros((n, d))
-    phases = np.zeros((n, d))
-    for idx, k in enumerate(ch.kraus):
-        mags = np.abs(k)
-        rows = mags.argmax(axis=0)
-        entries = k[rows, np.arange(d)]
-        entry_mags = np.abs(entries)
-        # Zero columns keep a placeholder map to their own index.
-        rows = np.where(entry_mags > 0.0, rows, np.arange(d))
-        p = float((entry_mags**2).sum()) / d
-        weights[idx] = p
-        column_maps[idx] = rows
-        if p > 0.0:
-            moduli[idx] = entry_mags / np.sqrt(p)
-            phases[idx] = np.where(entry_mags > 0.0, np.mod(np.angle(entries), _TWO_PI), 0.0)
+    ops = np.stack(ch.kraus)
+    rows = np.abs(ops).argmax(axis=-2)
+    entries = np.take_along_axis(ops, rows[:, None, :], axis=-2)[:, 0]
+    mags = np.abs(entries)
+    weights = (mags**2).sum(axis=-1) / ch.dim
+    live = (weights > 0.0)[:, None]
     return IncoherentKrausForm(
-        dim=d, weights=weights, column_maps=column_maps, moduli=moduli, phases=phases
+        dim=ch.dim,
+        weights=weights,
+        # Zero columns keep a placeholder map to their own index.
+        column_maps=np.where(mags > 0.0, rows, np.arange(ch.dim)),
+        moduli=np.where(live, mags / np.sqrt(np.where(live, weights[:, None], 1.0)), 0.0),
+        phases=np.where(live & (mags > 0.0), np.mod(np.angle(entries), _TWO_PI), 0.0),
     )
 
 
@@ -148,11 +136,18 @@ def apply_channel(ch: KrausChannel, rho: DensityMatrix | np.ndarray):
     m = rho.matrix if isinstance(rho, DensityMatrix) else rho
     if ch.dim != m.shape[-1]:
         raise DimMismatchError(f"channel dim {ch.dim} != state dim {m.shape[-1]}")
-    out = np.zeros_like(m)
-    for k in ch.kraus:
-        out += k @ m @ dagger(k)
-    out = (out + dagger(out)) / 2.0
+    out = _kraus_sum(np.stack(ch.kraus), m)
     return DensityMatrix(out, check_psd=False) if isinstance(rho, DensityMatrix) else out
+
+
+def _kraus_sum(ops: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """Hermitian part of sum_n K_n m K_n† for Kraus sets (..., n, d, d) and
+    matrices (..., d, d), broadcast against each other."""
+    out = np.zeros(np.broadcast_shapes(ops.shape[:-3], m.shape[:-2]) + m.shape[-2:], dtype=np.complex128)
+    for n in range(ops.shape[-3]):
+        k = ops[..., n, :, :]
+        out += k @ m @ dagger(k)
+    return (out + dagger(out)) / 2.0
 
 
 def apply_selective(ch: KrausChannel, rho: DensityMatrix | np.ndarray):
@@ -162,19 +157,23 @@ def apply_selective(ch: KrausChannel, rho: DensityMatrix | np.ndarray):
     arrays for a d x d array, taken as it is like in ``apply_channel``.
     """
     m = rho.matrix if isinstance(rho, DensityMatrix) else rho
-    if ch.dim != m.shape[-1]:
-        raise DimMismatchError(f"channel dim {ch.dim} != state dim {m.shape[-1]}")
-    outcomes = []
-    for k in ch.kraus:
-        raw = k @ m @ dagger(k)
-        p = float(np.trace(raw).real)
-        if p <= PROB_FLOOR:
-            continue
-        branch = (raw + dagger(raw)) / (2.0 * p)
-        if isinstance(rho, DensityMatrix):
-            branch = DensityMatrix(branch, check_psd=False)
-        outcomes.append((p, branch))
-    return outcomes
+    if m.shape != (ch.dim, ch.dim):
+        raise DimMismatchError(f"channel dim {ch.dim} needs one {ch.dim} x {ch.dim} state, got {m.shape}")
+    _, p, branches = _kraus_branches(np.stack(ch.kraus), m)
+    if isinstance(rho, DensityMatrix):
+        branches = [DensityMatrix(b, check_psd=False) for b in branches]
+    return list(zip(p.tolist(), branches))
+
+
+def _kraus_branches(ops: np.ndarray, m: np.ndarray):
+    """Branches K_n m K_n† of Kraus sets (..., n, d, d) on matrices (..., d, d):
+    the (..., n) mask ``kept`` of those above PROB_FLOOR, and their
+    probabilities (K,) and normalized Hermitian parts (K, d, d), row-major."""
+    raw = ops @ m[..., None, :, :] @ dagger(ops)
+    p = np.trace(raw, axis1=-2, axis2=-1).real
+    kept = p > PROB_FLOOR
+    raw, p = raw[kept], p[kept]
+    return kept, p, (raw + dagger(raw)) / (2.0 * p)[:, None, None]
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
@@ -200,10 +199,7 @@ class IncoherentUnitary:
         return len(self.perm)
 
     def matrix(self) -> np.ndarray:
-        u = np.zeros((self.dim, self.dim), dtype=np.complex128)
-        for j, (a, t) in enumerate(zip(self.perm, self.phases)):
-            u[a, j] = np.exp(1j * t)
-        return u
+        return _monomials(np.array(self.perm), np.ones(self.dim), np.array(self.phases))
 
     def as_channel(self) -> KrausChannel:
         return KrausChannel((self.matrix(),))
@@ -219,12 +215,8 @@ class IncoherentUnitary:
         return DensityMatrix(out, check_psd=False) if isinstance(rho, DensityMatrix) else out
 
     def inverse(self) -> "IncoherentUnitary":
-        inv = [0] * self.dim
-        phases = [0.0] * self.dim
-        for j, a in enumerate(self.perm):
-            inv[a] = j
-            phases[a] = -self.phases[j]
-        return IncoherentUnitary(tuple(inv), tuple(phases))
+        inv = np.argsort(self.perm)
+        return IncoherentUnitary(inv, -np.array(self.phases)[inv])
 
     def to_dict(self) -> dict:
         return {"dim": self.dim, "perm": list(self.perm), "phases": list(self.phases)}
@@ -255,10 +247,12 @@ def random_incoherent_unitary(dim: int, seed) -> IncoherentUnitary:
     """Uniformly random relabeling with uniform phases."""
     if dim < 2:
         raise BadParamsError("dim must be >= 2")
-    rng = np.random.default_rng(seed)
-    perm = tuple(int(x) for x in rng.permutation(dim))
-    phases = tuple(float(t) for t in rng.uniform(0.0, _TWO_PI, dim))
-    return IncoherentUnitary(perm, phases)
+    return IncoherentUnitary(*_draw_unitary(np.random.default_rng(seed), dim))
+
+
+def _draw_unitary(rng: np.random.Generator, dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """The permutation and the phases, in [0, 2 pi), of ``random_incoherent_unitary``, drawn from rng."""
+    return rng.permutation(dim), rng.uniform(0.0, _TWO_PI, dim)
 
 
 def random_incoherent_channel(dim: int, n_kraus: int, seed) -> KrausChannel:
@@ -272,15 +266,25 @@ def random_incoherent_channel(dim: int, n_kraus: int, seed) -> KrausChannel:
     """
     if dim < 2 or n_kraus < 1:
         raise BadParamsError(f"need dim >= 2 and n_kraus >= 1, got {dim}, {n_kraus}")
-    rng = np.random.default_rng(seed)
-    perms = [rng.permutation(dim) for _ in range(n_kraus)]
-    # column j of the stacked moduli sums to one in square modulus
-    weights = rng.dirichlet(np.ones(n_kraus), size=dim).T  # (n_kraus, dim)
-    moduli = np.sqrt(weights)
-    angles = rng.uniform(0.0, _TWO_PI, size=(n_kraus, dim))
-    ops = np.zeros((n_kraus, dim, dim), dtype=np.complex128)
-    ops[np.arange(n_kraus)[:, None], perms, np.arange(dim)] = moduli * np.exp(1j * angles)
-    return KrausChannel(tuple(ops))
+    return KrausChannel(tuple(_monomials(*_draw_incoherent(np.random.default_rng(seed), dim, n_kraus))))
+
+
+def _draw_incoherent(rng: np.random.Generator, dim: int, n_kraus: int) -> tuple:
+    """The ``_monomials`` arguments (n_kraus, dim) of ``random_incoherent_channel``,
+    drawn from rng: column maps, moduli and phases."""
+    perms = np.array([rng.permutation(dim) for _ in range(n_kraus)])
+    # column j of the squared moduli is a flat Dirichlet sample: it sums to one
+    moduli = np.sqrt(rng.dirichlet(np.ones(n_kraus), size=dim).T)
+    return perms, moduli, rng.uniform(0.0, _TWO_PI, size=(n_kraus, dim))
+
+
+def _monomials(rows: np.ndarray, moduli: np.ndarray, phases: np.ndarray) -> np.ndarray:
+    """The matrix sum_j moduli[j] e^{i phases[j]} |rows[j]><j| of arrays (d,),
+    or one per row of stacks (..., d): a relabeling's unitary, a Kraus set
+    (n, d, d) from rows (n, d), Kraus sets (..., n, d, d) from (..., n, d)."""
+    out = np.zeros(rows.shape + rows.shape[-1:], dtype=np.complex128)
+    np.put_along_axis(out, rows[..., None, :], (moduli * np.exp(1j * phases))[..., None, :], axis=-2)
+    return out
 
 
 def channel_from_dict(payload: dict) -> KrausChannel:

@@ -169,8 +169,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_measure(args) -> int:
-    state = _load_state(args.state)
-    rho = st_mod.from_pure(state) if isinstance(state, st_mod.PureState) else state
+    rho = _load_density(args.state)
     seed = args.seed if args.seed is not None else _default_seed()
     opt = m_mod.OptimizerConfig(seed=seed)
     measure = m_mod.measure_by_name(args.measure, dim=rho.dim, opt=opt)

@@ -5,12 +5,15 @@ CriterionReport.  Trial randomness derives from (seed, trial index), so a
 report is a pure function of its TrialConfig: reruns and parallel runs
 produce bit-identical results.
 
-Trials run in blocks of at most TRIAL_BLOCK.  Each trial draws its inputs
-from its own stream, and the measure is evaluated once per stack of the
-block's matrices, so that the block makes one spectral call where the
-trials alone would make one each; the stacked kernels round every row as
-they round one matrix.  THEOREM3 measures the whole probe panel of every
-channel in the block as one stack.
+Trials run in blocks of at most TRIAL_BLOCK.  Each trial only draws its
+inputs as arrays from its own stream default_rng([seed, trial]), in the
+order it would draw them alone.  The block builds them into states and
+Kraus sets as stacks, one per rank or Kraus count, validates each stack
+once, maps it as a stack and evaluates the measure once per stack, so that
+it makes one spectral call where the trials alone would make one each; the
+stacked kernels round every row as they round one matrix.  Objects are
+built for the witness only.  THEOREM3 measures the whole probe panel of
+every channel in the block as one stack.
 
 Criteria: the keys of ``CRITERIA``, each run by ``check_criterion``
 -------------------------------------------------------------------
@@ -45,6 +48,8 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 
+from . import channels as ch_mod
+from . import mcs as mcs_mod
 from . import measures as m_mod
 from . import states as st_mod
 from .channels import (
@@ -60,8 +65,9 @@ from .channels import (
 )
 from .errors import BadDimError, BadParamsError, BadPayloadError
 from .measures import Measure, default_observable, measure_by_name
-from .mcs import mcs_deviation, mcs_sample
-from .states import DensityMatrix, PureState, dephase, from_pure, random_density, random_pure
+from .mcs import mcs_deviation
+from .numerics import MAX_DIM, dagger
+from .states import DensityMatrix, PureState, dephase, from_pure
 
 # C1 thresholds: zero level on incoherent inputs, and the floor a
 # measure must clear once the off-diagonal mass is macroscopic.
@@ -91,8 +97,8 @@ class TrialConfig:
     n_kraus_range: tuple = (1, 4)
 
     def __post_init__(self):
-        if self.dim < 2:
-            raise BadDimError("dim must be >= 2")
+        if not 2 <= self.dim <= MAX_DIM:
+            raise BadDimError(f"dim must be >= 2 and <= {MAX_DIM}, got {self.dim}")
         if self.n_trials < 1:
             raise BadParamsError("n_trials must be >= 1")
         if not self.tol > 0:
@@ -240,174 +246,162 @@ def _trial_rngs(cfg: TrialConfig, trials: range) -> list:
     return [np.random.default_rng([cfg.seed, t]) for t in trials]
 
 
-def _random_input(rng: np.random.Generator, dim: int, measure_name: str) -> DensityMatrix:
+def _draw_state(rng: np.random.Generator, dim: int, measure_name: str) -> np.ndarray:
+    """One trial's input: the amplitudes (d,) of a pure state, or the G (d, rank) of G G†/tr."""
     # int_rand fuzzing sticks to pure inputs, where the measure is exact.
     if measure_name == "int_rand":
-        return from_pure(random_pure(dim, rng))
-    rank = int(rng.integers(1, dim + 1))
-    return random_density(dim, rank, rng)
+        return st_mod._draw_pure(rng, dim)
+    return st_mod._draw_gram(rng, dim, int(rng.integers(1, dim + 1)))
 
 
-def _random_channel(rng: np.random.Generator, cfg: TrialConfig) -> KrausChannel:
+def _draw_channel(rng: np.random.Generator, cfg: TrialConfig) -> tuple:
     lo, hi = cfg.n_kraus_range
-    n_kraus = int(rng.integers(lo, hi + 1))
-    return random_incoherent_channel(cfg.dim, n_kraus, rng)
+    return ch_mod._draw_incoherent(rng, cfg.dim, int(rng.integers(lo, hi + 1)))
 
 
-def _stack(rhos) -> np.ndarray:
-    return np.stack([rho.matrix for rho in rhos])
+def _groups(draws) -> list:
+    """Row indices of the draws of each shape, shapes in order of first appearance."""
+    rows = {}
+    for i, draw in enumerate(draws):
+        rows.setdefault(draw.shape, []).append(i)
+    return [np.array(r) for r in rows.values()]
 
 
-def _mapped_witness(rhos, maps, before, after):
-    """``make_witness`` of a block whose trial i maps rhos[i] by maps[i]."""
+def _states(draws) -> np.ndarray:
+    """The validated stack of the states of ``_draw_state`` draws, built per
+    shape: zero-padding G to rank d would change how the products round."""
+    out = np.empty((len(draws), len(draws[0]), len(draws[0])), dtype=np.complex128)
+    for rows in _groups(draws):
+        g = np.stack([draws[i] for i in rows])
+        out[rows] = st_mod._projectors(g) if g.ndim == 2 else st_mod._gram_states(g)
+    return st_mod.density_matrices(out)
+
+
+def _kraus_stacks(draws):
+    """Yield (rows, Kraus sets (N, n, d, d)) per Kraus count n of
+    ``_draw_channel`` draws, each stack checked for completeness once."""
+    for rows in _groups([perms for perms, _, _ in draws]):
+        ops = ch_mod._monomials(*(np.stack(a) for a in zip(*(draws[i] for i in rows))))
+        ch_mod._check_complete(ops)
+        yield rows, ops
+
+
+def _kraus_channel(draw) -> KrausChannel:
+    return KrausChannel(tuple(ch_mod._monomials(*draw)))
+
+
+def _witness(m, before, after, channel=lambda i: None, aux=lambda i: None):
+    """``make_witness`` of a block whose trial i takes m[i] from before[i] to
+    after[i], by ``channel(i)``, with ``aux(i)``: objects for one row only."""
     return lambda i: ViolationWitness(
-        state=rhos[i], channel=maps[i], value_before=float(before[i]), value_after=float(after[i])
+        DensityMatrix(m[i], check_psd=False), channel(i), float(before[i]), float(after[i]), aux(i)
     )
-
-
-# Each block function draws every trial's inputs from its own stream
-# default_rng([seed, trial]), in the order a trial draws them alone, then
-# evaluates the measure once per stack of the block's matrices.
 
 
 def _c1_block(measure_name: str, cfg: TrialConfig, trials: range) -> _Block:
     measure = measure_by_name(measure_name, dim=cfg.dim)
-    rhos = [_random_input(rng, cfg.dim, measure_name) for rng in _trial_rngs(cfg, trials)]
-    m = _stack(rhos)
+    m = _states([_draw_state(rng, cfg.dim, measure_name) for rng in _trial_rngs(cfg, trials)])
     value = measure.evaluate(m)
     zero_value = measure.evaluate(dephase(m))
     mass = st_mod.off_diagonal_mass(m)
     slack = C1_ZERO_TOL - zero_value
     slack = np.where(mass > C1_MASS_FLOOR, np.minimum(slack, value - C1_VALUE_FLOOR), slack)
-    return _block(
-        slack,
-        slack < 0,
-        lambda i: ViolationWitness(
-            state=rhos[i],
-            channel=None,
-            value_before=float(value[i]),
-            value_after=float(zero_value[i]),
-            aux={"off_diagonal_mass": float(mass[i])},
-        ),
-    )
+    witness = _witness(m, value, zero_value, aux=lambda i: {"off_diagonal_mass": float(mass[i])})
+    return _block(slack, slack < 0, witness)
 
 
 def _c2_block(measure_name: str, cfg: TrialConfig, trials: range) -> _Block:
     measure = measure_by_name(measure_name, dim=cfg.dim)
     rngs = _trial_rngs(cfg, trials)
-    rhos = [_random_input(rng, cfg.dim, measure_name) for rng in rngs]
-    channels = [_random_channel(rng, cfg) for rng in rngs]
-    before = measure.evaluate(_stack(rhos))
-    after = measure.evaluate(np.stack([apply_channel(ch, rho.matrix) for ch, rho in zip(channels, rhos)]))
+    m = _states([_draw_state(rng, cfg.dim, measure_name) for rng in rngs])
+    draws = [_draw_channel(rng, cfg) for rng in rngs]
+    out = np.empty_like(m)
+    for rows, ops in _kraus_stacks(draws):
+        out[rows] = ch_mod._kraus_sum(ops, m[rows])
+    before = measure.evaluate(m)
+    after = measure.evaluate(out)
     slack = before - after
-    return _block(
-        slack,
-        slack < -cfg.tol,
-        _mapped_witness(rhos, channels, before, after),
-    )
+    return _block(slack, slack < -cfg.tol, _witness(m, before, after, lambda i: _kraus_channel(draws[i])))
 
 
 def _c3_block(measure_name: str, cfg: TrialConfig, trials: range) -> _Block:
     measure = measure_by_name(measure_name, dim=cfg.dim)
     rngs = _trial_rngs(cfg, trials)
-    rhos = [_random_input(rng, cfg.dim, measure_name) for rng in rngs]
-    channels = [_random_channel(rng, cfg) for rng in rngs]
-    owners, weights, branches = [], [], []
-    for i, (ch, rho) in enumerate(zip(channels, rhos)):
-        for p, branch in apply_selective(ch, rho.matrix):
-            owners.append(i)
-            weights.append(p)
-            branches.append(branch)
-    before = measure.evaluate(_stack(rhos))
-    weighted = np.asarray(weights) * measure.evaluate(np.stack(branches))
+    m = _states([_draw_state(rng, cfg.dim, measure_name) for rng in rngs])
+    draws = [_draw_channel(rng, cfg) for rng in rngs]
+    parts = [(rows, *ch_mod._kraus_branches(ops, m[rows])) for rows, ops in _kraus_stacks(draws)]
+    owners = np.concatenate([rows[np.nonzero(kept)[0]] for rows, kept, _, _ in parts])
+    weights = np.concatenate([p for _, _, p, _ in parts])
+    values = measure.evaluate(np.concatenate([branches for *_, branches in parts]))
+    before = measure.evaluate(m)
     after = np.zeros(len(trials))
-    for i, value in zip(owners, weighted.tolist()):  # each trial's branches in order
-        after[i] += value
+    np.add.at(after, owners, weights * values)  # each trial's branches in order, as it adds them alone
     slack = before - after
-    return _block(
-        slack,
-        slack < -cfg.tol,
-        _mapped_witness(rhos, channels, before, after),
-    )
+    return _block(slack, slack < -cfg.tol, _witness(m, before, after, lambda i: _kraus_channel(draws[i])))
 
 
 def _c4_block(measure_name: str, cfg: TrialConfig, trials: range) -> _Block:
     measure = measure_by_name(measure_name, dim=cfg.dim)
     rngs = _trial_rngs(cfg, trials)
-    rhos_a = [_random_input(rng, cfg.dim, measure_name) for rng in rngs]
-    rhos_b = [_random_input(rng, cfg.dim, measure_name) for rng in rngs]
+    a = _states([_draw_state(rng, cfg.dim, measure_name) for rng in rngs])
+    b = _states([_draw_state(rng, cfg.dim, measure_name) for rng in rngs])
     lam = np.array([float(rng.uniform()) for rng in rngs])
-    a, b = _stack(rhos_a), _stack(rhos_b)
     mixed = lam[:, None, None] * a + (1.0 - lam)[:, None, None] * b
     before = lam * measure.evaluate(a) + (1.0 - lam) * measure.evaluate(b)
     after = measure.evaluate(mixed)
     slack = before - after
-    return _block(
-        slack,
-        slack < -cfg.tol,
-        lambda i: ViolationWitness(
-            state=DensityMatrix(mixed[i], check_psd=False),
-            channel=None,
-            value_before=float(before[i]),
-            value_after=float(after[i]),
-            aux={"state_a": rhos_a[i].to_dict(), "state_b": rhos_b[i].to_dict(), "lam": float(lam[i])},
-        ),
-    )
+
+    def aux(i):
+        a_i, b_i = (DensityMatrix(x[i], check_psd=False).to_dict() for x in (a, b))
+        return {"state_a": a_i, "state_b": b_i, "lam": float(lam[i])}
+
+    return _block(slack, slack < -cfg.tol, _witness(mixed, before, after, aux=aux))
 
 
 def _lemma1_block(measure_name: str, cfg: TrialConfig, trials: range) -> _Block:
     measure = measure_by_name(measure_name, dim=cfg.dim)
     rngs = _trial_rngs(cfg, trials)
-    rhos = [_random_input(rng, cfg.dim, measure_name) for rng in rngs]
-    unitaries = [random_incoherent_unitary(cfg.dim, rng) for rng in rngs]
-    before = measure.evaluate(_stack(rhos))
-    after = measure.evaluate(np.stack([u.conjugate(rho.matrix) for u, rho in zip(unitaries, rhos)]))
+    m = _states([_draw_state(rng, cfg.dim, measure_name) for rng in rngs])
+    draws = [ch_mod._draw_unitary(rng, cfg.dim) for rng in rngs]
+    perms, phases = (np.stack(x) for x in zip(*draws))
+    # the drawn phases lie in [0, 2 pi), where IncoherentUnitary keeps them as they are
+    u = ch_mod._monomials(perms, np.ones(perms.shape), phases)
+    before = measure.evaluate(m)
+    after = measure.evaluate(u @ m @ dagger(u))
     slack = cfg.tol - np.abs(after - before)
-    return _block(
-        slack,
-        slack < 0,
-        _mapped_witness(rhos, unitaries, before, after),
-    )
+    return _block(slack, slack < 0, _witness(m, before, after, lambda i: IncoherentUnitary(*draws[i])))
 
 
 def _lemma2_block(measure_name: str, cfg: TrialConfig, trials: range) -> _Block:
     rngs = _trial_rngs(cfg, trials)
     # Half the inputs are maximally coherent, half generic.
-    rhos = [
-        from_pure(mcs_sample(cfg.dim, rng)) if t % 2 == 0 else _random_input(rng, cfg.dim, "any")
+    m = _states([
+        mcs_mod._draw_mcs(rng, cfg.dim) if t % 2 == 0 else _draw_state(rng, cfg.dim, "any")
         for t, rng in zip(trials, rngs)
-    ]
+    ])
     # A quarter of the channels are CPOs so the allowed branch gets exercised.
     channels = [
         random_incoherent_unitary(cfg.dim, rng).as_channel() if rng.uniform() < 0.25
-        else _random_channel(rng, cfg)
+        else _kraus_channel(_draw_channel(rng, cfg))
         for rng in rngs
     ]
-    before = mcs_deviation(_stack(rhos))
-    after = mcs_deviation(np.stack([apply_channel(ch, rho.matrix) for ch, rho in zip(channels, rhos)]))
+    before = mcs_deviation(m)
+    after = mcs_deviation(np.stack([apply_channel(ch, rho) for ch, rho in zip(channels, m)]))
     # a CPO acting on a maximally coherent input is exempt
     counted = np.array([not is_cpo(ch, cfg.tol) for ch in channels]) | (before > cfg.tol)
     slack = after - cfg.tol
-    return _block(slack, counted & (slack < 0), _mapped_witness(rhos, channels, before, after), counted)
+    return _block(slack, counted & (slack < 0), _witness(m, before, after, channels.__getitem__), counted)
 
 
 @lru_cache(maxsize=16)
 def _probe_panel(dim: int, seed: int, count: int) -> np.ndarray:
     """Fixed probe amplitudes, one per row (count, dim): equal-weight basis
     pairs first, Haar samples after.  Read-only, since it is cached."""
-    probes = []
-    for i in range(dim):
-        for j in range(i + 1, dim):
-            if len(probes) >= count:
-                break
-            amp = np.zeros(dim, dtype=np.complex128)
-            amp[i] = amp[j] = 1.0 / np.sqrt(2.0)
-            probes.append(amp)
-    idx = 0
-    while len(probes) < count:
-        probes.append(random_pure(dim, np.random.default_rng([seed, 104729, idx])).amplitudes)
-        idx += 1
-    panel = np.array(probes)
+    i, j = np.triu_indices(dim, 1)  # the basis pairs in row-major order
+    pairs = np.zeros((i.size, dim), dtype=np.complex128)
+    pairs[np.arange(i.size), i] = pairs[np.arange(i.size), j] = 1.0 / np.sqrt(2.0)
+    haar = [st_mod._draw_pure(np.random.default_rng([seed, 104729, k]), dim) for k in range(count - i.size)]
+    panel = np.concatenate([pairs[:count], np.reshape(haar, (-1, dim))])
     panel.flags.writeable = False
     return panel
 
@@ -415,7 +409,7 @@ def _probe_panel(dim: int, seed: int, count: int) -> np.ndarray:
 def _panel_deviation(probes: np.ndarray, *channels: KrausChannel) -> np.ndarray:
     """Largest change of either reference measure across the probe panel
     (P, d), for each channel: all channels' outputs are measured as one stack."""
-    panel = probes[:, :, None] * probes[:, None, :].conj()
+    panel = st_mod._projectors(probes)
     out = np.stack([apply_channel(ch, panel) for ch in channels])
     p = np.abs(probes) ** 2
     l1_dev = np.abs(m_mod.c_l1(out) - m_mod.l1_pure(p))
@@ -450,13 +444,9 @@ def _theorem3_block(measure_name: str, cfg: TrialConfig, trials: range) -> _Bloc
         offender = channels[i] if masquerade[i] else cpos[i]
         probe = from_pure(PureState(probes[0]))
         out = apply_channel(offender if masquerade[i] else offender.as_channel(), probe)
-        return ViolationWitness(
-            state=probe,
-            channel=offender,
-            value_before=float(m_mod.l1_pure(np.abs(probes[0]) ** 2)),
-            value_after=float(m_mod.c_l1(out)),
-            aux={"panel_deviation": float(dev[i]), "cpo_deviation": float(cpo_dev[i]), "measure": "l1"},
-        )
+        aux = {"panel_deviation": float(dev[i]), "cpo_deviation": float(cpo_dev[i]), "measure": "l1"}
+        before = float(m_mod.l1_pure(np.abs(probes[0]) ** 2))
+        return ViolationWitness(probe, offender, before, float(m_mod.c_l1(out)), aux)
 
     return _block(slack, counted & (masquerade | (cpo_dev > CPO_PRESERVE_TOL)), witness, counted)
 
@@ -627,12 +617,8 @@ def skew_violation_witness(dim: int) -> ViolationWitness:
     k = default_observable(dim)
     weights = _witness_weights(dim)
     base = PureState(np.sqrt(weights))
-    shift = IncoherentUnitary(
-        perm=tuple((j + 1) % dim for j in range(dim)), phases=(0.0,) * dim
-    )
-    shifted_amp = np.empty(dim, dtype=np.complex128)
-    shifted_amp[[(j + 1) % dim for j in range(dim)]] = base.amplitudes
-    shifted = PureState(shifted_amp)
+    shift = IncoherentUnitary(perm=np.roll(np.arange(dim), -1), phases=np.zeros(dim))  # j -> j+1 mod d
+    shifted = PureState(np.roll(base.amplitudes, 1))
 
     v_base = float(m_mod.c_skew_pure(base.probabilities, k))
     v_shifted = float(m_mod.c_skew_pure(shifted.probabilities, k))
@@ -654,15 +640,10 @@ def skew_violation_witness(dim: int) -> ViolationWitness:
 # ---------------------------------------------------------------------------
 
 
-def _apply_witness_channel(witness: ViolationWitness) -> DensityMatrix:
-    if isinstance(witness.channel, IncoherentUnitary):
-        return witness.channel.conjugate(witness.state)
-    return apply_channel(witness.channel, witness.state)
-
-
 def _values_under(w: ViolationWitness, fn):
     """``fn`` of the witness state and of its image under the witness channel."""
-    return fn(w.state), fn(_apply_witness_channel(w))
+    unitary = isinstance(w.channel, IncoherentUnitary)
+    return fn(w.state), fn(w.channel.conjugate(w.state) if unitary else apply_channel(w.channel, w.state))
 
 
 def _c3_values(w: ViolationWitness, measure: Measure):

@@ -41,9 +41,13 @@ def mcs_sample(dim: int, seed) -> PureState:
     """Random maximally coherent state: uniform phases, first fixed to zero."""
     if dim < 2:
         raise BadDimError("dim must be >= 2")
-    rng = np.random.default_rng(seed)
+    return PureState(_draw_mcs(np.random.default_rng(seed), dim))
+
+
+def _draw_mcs(rng: np.random.Generator, dim: int) -> np.ndarray:
+    """The amplitudes of ``mcs_sample``, drawn from rng."""
     phases = np.concatenate(([0.0], rng.uniform(0.0, _TWO_PI, dim - 1)))
-    return PureState(np.exp(1j * phases) / np.sqrt(dim))
+    return np.exp(1j * phases) / np.sqrt(dim)
 
 
 def transform_mcs_to(target: PureState) -> KrausChannel:
@@ -56,13 +60,9 @@ def transform_mcs_to(target: PureState) -> KrausChannel:
     exactly.
     """
     d = target.dim
-    amp = target.amplitudes
-    rows = np.arange(d)
-    ops = []
-    for n in range(d):
-        k = np.zeros((d, d), dtype=np.complex128)
-        k[rows, (rows + n) % d] = amp
-        ops.append(k)
+    n, rows = np.arange(d)[:, None], np.arange(d)
+    ops = np.zeros((d, d, d), dtype=np.complex128)
+    ops[n, rows, (rows + n) % d] = target.amplitudes
     return KrausChannel(tuple(ops))
 
 

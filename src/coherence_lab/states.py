@@ -131,8 +131,12 @@ def density_matrices(rho: DensityMatrix | np.ndarray) -> np.ndarray:
 
 def from_pure(psi: PureState) -> DensityMatrix:
     """Rank-1 projector |psi><psi|."""
-    amp = psi.amplitudes
-    return DensityMatrix(np.outer(amp, amp.conj()), check_psd=False)
+    return DensityMatrix(_projectors(psi.amplitudes), check_psd=False)
+
+
+def _projectors(amp: np.ndarray) -> np.ndarray:
+    """|psi><psi| of an amplitude vector, or of each one in a stack (..., d)."""
+    return amp[..., :, None] * amp[..., None, :].conj()
 
 
 def dephase(rho: DensityMatrix | np.ndarray):
@@ -170,19 +174,31 @@ def random_pure(dim: int, seed) -> PureState:
     """Haar-random pure state: normalized standard complex Gaussian vector."""
     if dim < 2:
         raise BadDimError("dim must be >= 2")
-    rng = np.random.default_rng(seed)
+    return PureState(_draw_pure(np.random.default_rng(seed), dim))
+
+
+def _draw_pure(rng: np.random.Generator, dim: int) -> np.ndarray:
+    """The amplitudes of ``random_pure``, drawn from rng."""
     vec = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    return PureState(vec / np.linalg.norm(vec))
+    return vec / np.linalg.norm(vec)
 
 
 def random_density(dim: int, rank: int, seed) -> DensityMatrix:
     """Random density matrix G G†/tr(G G†) with G a dim x rank complex Gaussian."""
     if not 1 <= rank <= dim:
         raise BadRankError(f"rank must be in [1, {dim}], got {rank}")
-    rng = np.random.default_rng(seed)
-    g = rng.standard_normal((dim, rank)) + 1j * rng.standard_normal((dim, rank))
+    return DensityMatrix(_gram_states(_draw_gram(np.random.default_rng(seed), dim, rank)), check_psd=False)
+
+
+def _draw_gram(rng: np.random.Generator, dim: int, rank: int) -> np.ndarray:
+    """The dim x rank complex Gaussian G of ``random_density``, drawn from rng."""
+    return rng.standard_normal((dim, rank)) + 1j * rng.standard_normal((dim, rank))
+
+
+def _gram_states(g: np.ndarray) -> np.ndarray:
+    """G G†/tr(G G†) of a d x r matrix G, or of each one in a stack (..., d, r)."""
     m = g @ dagger(g)
-    return DensityMatrix(m / np.trace(m).real, check_psd=False)
+    return m / np.trace(m, axis1=-2, axis2=-1).real[..., None, None]
 
 
 def fidelity_pure(rho: DensityMatrix, target: PureState) -> float:

@@ -124,6 +124,14 @@ def test_apply_dim_mismatch():
         apply_channel(KrausChannel((np.eye(2),)), random_density(3, 1, 0))
 
 
+def test_selective_takes_one_matrix_of_the_channel_dim():
+    ch = projective_channel(2)
+    with pytest.raises(DimMismatchError):
+        apply_selective(ch, random_density(3, 1, 0))
+    with pytest.raises(DimMismatchError):
+        apply_selective(ch, np.stack([np.eye(2) / 2] * 3))  # a stack has no branch list
+
+
 def test_selective_projective_on_plus():
     outcomes = apply_selective(projective_channel(2), from_pure(plus_state()))
     assert len(outcomes) == 2

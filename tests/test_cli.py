@@ -221,6 +221,18 @@ def test_verify_dim_1_is_exit_2(capsys):
     assert "dim must be >= 2" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", [
+    ["verify", "--criterion", "C1", "--measure", "l1"],
+    ["verify", "--criterion", "C5", "--measure", "l1"],
+    ["hunt"],
+])
+def test_dim_above_16_is_exit_2(capsys, command):
+    assert cli.run(command + ["--dim", "17", "--trials", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "dim must be >= 2 and <= 16, got 17" in captured.err
+
+
 def test_unknown_subcommand_is_exit_2(capsys):
     assert cli.run(["frobnicate"]) == 2
     capsys.readouterr()

@@ -6,9 +6,26 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from coherence_lab import channels as ch_mod
 from coherence_lab import harness
-from coherence_lab.channels import IncoherentUnitary, KrausChannel, apply_channel
-from coherence_lab.errors import BadDimError, BadParamsError, BadPayloadError
+from coherence_lab import mcs as mcs_mod
+from coherence_lab import states as st_mod
+from coherence_lab.channels import (
+    IncoherentUnitary,
+    KrausChannel,
+    apply_channel,
+    apply_selective,
+    random_incoherent_channel,
+    random_incoherent_unitary,
+)
+from coherence_lab.errors import (
+    BadDimError,
+    BadParamsError,
+    BadPayloadError,
+    IncompleteChannelError,
+    NonHermitianError,
+    NotNormalizedError,
+)
 from coherence_lab.harness import (
     CriterionReport,
     TrialConfig,
@@ -23,9 +40,10 @@ from coherence_lab.harness import (
     skew_violation_witness,
     skew_witness_report,
 )
-from coherence_lab.mcs import is_mcs, mcs_deviation
+from coherence_lab.mcs import is_mcs, mcs_deviation, mcs_sample
 from coherence_lab.measures import MEASURE_NAMES, measure_by_name
-from coherence_lab.states import DensityMatrix, from_pure
+from coherence_lab.numerics import dagger
+from coherence_lab.states import DensityMatrix, from_pure, random_density, random_pure
 
 
 def small_cfg(dim=3, n=50, seed=0, **kw):
@@ -39,6 +57,12 @@ def test_trial_config_validation():
         TrialConfig(dim=3, n_trials=10, tol=0.0)
     with pytest.raises(BadDimError):
         TrialConfig(dim=1, n_trials=10)
+
+
+def test_trial_config_caps_dim_at_16():
+    assert TrialConfig(dim=16, n_trials=1).dim == 16
+    with pytest.raises(BadDimError, match="<= 16"):
+        TrialConfig(dim=17, n_trials=1)
 
 
 def test_reports_are_deterministic():
@@ -71,34 +95,128 @@ def test_jobs_do_not_change_reports(criterion, measure, dim, n, seed):
     assert one.to_dict() == check_criterion(criterion, measure, cfg, jobs=2).to_dict()
 
 
+def _per_trial_input(rng, dim, measure_name):
+    """A trial's input state through the public constructors, drawn as a block draws it."""
+    if measure_name == "int_rand":
+        return from_pure(random_pure(dim, rng))
+    return random_density(dim, int(rng.integers(1, dim + 1)), rng)
+
+
+def _per_trial_channel(rng, cfg):
+    lo, hi = cfg.n_kraus_range
+    return random_incoherent_channel(cfg.dim, int(rng.integers(lo, hi + 1)), rng)
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("dim", range(2, 9))
+def test_stacked_sampler_matches_the_public_constructors(dim):
+    """Draws built, validated and mapped as stacks equal, bit for bit, what
+    the public constructors and maps give one trial at a time."""
+    cfg = small_cfg(dim=dim, n=64, seed=29)
+    states, channels, unitaries, pures, mcss = [], [], [], [], []
+    ref = []
+    for rng, ref_rng in zip(*(harness._trial_rngs(cfg, range(cfg.n_trials)) for _ in range(2))):
+        states.append(harness._draw_state(rng, dim, "l1"))
+        channels.append(harness._draw_channel(rng, cfg))
+        unitaries.append(ch_mod._draw_unitary(rng, dim))
+        pures.append(harness._draw_state(rng, dim, "int_rand"))
+        mcss.append(mcs_mod._draw_mcs(rng, dim))
+        ref.append((
+            _per_trial_input(ref_rng, dim, "l1"),
+            _per_trial_channel(ref_rng, cfg),
+            random_incoherent_unitary(dim, ref_rng),
+            _per_trial_input(ref_rng, dim, "int_rand"),
+            from_pure(mcs_sample(dim, ref_rng)),
+        ))
+    # the block mixes every rank and every Kraus count
+    assert {g.shape[1] for g in states} == set(range(1, dim + 1))
+    assert {perms.shape[0] for perms, _, _ in channels} == {1, 2, 3, 4}
+
+    m = harness._states(states)
+    assert _same_bits(m, np.stack([r[0].matrix for r in ref]))
+    assert _same_bits(harness._states(pures), np.stack([r[3].matrix for r in ref]))
+    assert _same_bits(harness._states(mcss), np.stack([r[4].matrix for r in ref]))
+    for rows, ops in harness._kraus_stacks(channels):
+        chans, rhos = [ref[i][1] for i in rows], [ref[i][0] for i in rows]
+        assert _same_bits(ops, np.stack([np.stack(ch.kraus) for ch in chans]))
+        outputs = [apply_channel(ch, rho).matrix for ch, rho in zip(chans, rhos)]
+        assert _same_bits(ch_mod._kraus_sum(ops, m[rows]), np.stack(outputs))
+        kept, weights, branches = ch_mod._kraus_branches(ops, m[rows])
+        selective = [apply_selective(ch, rho) for ch, rho in zip(chans, rhos)]
+        assert kept.sum(axis=1).tolist() == [len(sel) for sel in selective]
+        assert _same_bits(weights, np.array([p for sel in selective for p, _ in sel]))
+        assert _same_bits(branches, np.stack([b.matrix for sel in selective for _, b in sel]))
+    perms, phases = (np.stack(x) for x in zip(*unitaries))
+    u = ch_mod._monomials(perms, np.ones(perms.shape), phases)
+    assert _same_bits(u, np.stack([r[2].matrix() for r in ref]))
+    assert _same_bits(u @ m @ dagger(u), np.stack([r[2].conjugate(r[0]).matrix for r in ref]))
+
+
+def test_stack_validation_bites(monkeypatch):
+    cfg = small_cfg(dim=4, n=12, seed=3)
+    rngs = harness._trial_rngs(cfg, range(cfg.n_trials))
+    states = [harness._draw_state(rng, cfg.dim, "l1") for rng in rngs]
+    channels = [harness._draw_channel(rng, cfg) for rng in rngs]
+    gram_states, monomials = st_mod._gram_states, ch_mod._monomials
+
+    for defect, error in ((np.array([[0.0, 1e-3], [0.0, 0.0]]), NonHermitianError),
+                          (np.diag([1e-3, 0.0]), NotNormalizedError)):
+        def spoiled(g):
+            out = gram_states(g)
+            out[0, :2, :2] += defect  # one matrix of the stack
+            return out
+
+        monkeypatch.setattr(st_mod, "_gram_states", spoiled)
+        with pytest.raises(error):
+            harness._states(states)
+    monkeypatch.setattr(st_mod, "_gram_states", gram_states)
+
+    spoilt = []
+
+    def incomplete(*args):
+        ops = monomials(*args)
+        ops[-1, 0] *= 1.0 + 1e-6  # the first operator of one channel of the stack
+        spoilt.append(ops[-1])
+        return ops
+
+    monkeypatch.setattr(ch_mod, "_monomials", incomplete)
+    with pytest.raises(IncompleteChannelError):
+        list(harness._kraus_stacks(channels))
+    with pytest.raises(IncompleteChannelError):
+        KrausChannel(tuple(spoilt[0]))
+
+
 def _per_trial_slacks(criterion, measure_name, cfg):
     """The per-trial evaluation the blocks replaced, one DensityMatrix at a
     time through the per-object API: the reference for the stacked checks."""
-    from coherence_lab.channels import apply_selective
     from coherence_lab.states import dephase, off_diagonal_mass
 
     measure = measure_by_name(measure_name, dim=cfg.dim)
     slacks = []
     for trial in range(cfg.n_trials):
         rng = np.random.default_rng([cfg.seed, trial])
-        rho = harness._random_input(rng, cfg.dim, measure_name)
+        rho = _per_trial_input(rng, cfg.dim, measure_name)
         before = measure.evaluate(rho)
         if criterion == "C1":
             slack = harness.C1_ZERO_TOL - measure.evaluate(dephase(rho))
             if off_diagonal_mass(rho) > harness.C1_MASS_FLOOR:
                 slack = min(slack, before - harness.C1_VALUE_FLOOR)
         elif criterion == "C2":
-            slack = before - measure.evaluate(apply_channel(harness._random_channel(rng, cfg), rho))
+            slack = before - measure.evaluate(apply_channel(_per_trial_channel(rng, cfg), rho))
         elif criterion == "C3":
-            branches = apply_selective(harness._random_channel(rng, cfg), rho)
+            branches = apply_selective(_per_trial_channel(rng, cfg), rho)
             slack = before - sum(p * measure.evaluate(branch) for p, branch in branches)
         elif criterion == "C4":
-            rho_b = harness._random_input(rng, cfg.dim, measure_name)
+            rho_b = _per_trial_input(rng, cfg.dim, measure_name)
             lam = float(rng.uniform())
             mixed = DensityMatrix(lam * rho.matrix + (1.0 - lam) * rho_b.matrix, check_psd=False)
             slack = lam * before + (1.0 - lam) * measure.evaluate(rho_b) - measure.evaluate(mixed)
         else:
-            unitary = harness.random_incoherent_unitary(cfg.dim, rng)
+            unitary = random_incoherent_unitary(cfg.dim, rng)
             slack = cfg.tol - abs(measure.evaluate(unitary.conjugate(rho)) - before)
         slacks.append(slack)
     return np.array(slacks)
@@ -108,17 +226,18 @@ def _per_trial_slacks(criterion, measure_name, cfg):
 @pytest.mark.parametrize("measure", ["l1", "rel_ent", "skew", "trivial"])
 def test_blocks_match_the_per_trial_reference(criterion, measure, monkeypatch):
     monkeypatch.setattr(harness, "TRIAL_BLOCK", 7)
-    cfg = small_cfg(dim=4, n=30, seed=13, n_kraus_range=(2, 4))
-    report = check_criterion(criterion, measure, cfg, jobs=1)
-    slacks = _per_trial_slacks(criterion, measure, cfg)
-    violating = slacks < (0.0 if criterion in ("C1", "LEMMA1") else -cfg.tol)
-    assert report.violations == int(violating.sum())
-    # skew's quadratic forms may round differently in the last bit once stacked
-    assert abs(report.worst_violation - slacks.min()) <= (1e-15 if measure == "skew" else 0.0)
-    if report.witness is not None:
-        before, after = reevaluate_witness(report)
-        assert abs(before - report.witness.value_before) <= 1e-12
-        assert abs(after - report.witness.value_after) <= 1e-12
+    for dim in (2, 4, 8):
+        cfg = small_cfg(dim=dim, n=30, seed=13, n_kraus_range=(2, 4))
+        report = check_criterion(criterion, measure, cfg, jobs=1)
+        slacks = _per_trial_slacks(criterion, measure, cfg)
+        violating = slacks < (0.0 if criterion in ("C1", "LEMMA1") else -cfg.tol)
+        assert report.violations == int(violating.sum())
+        # skew's quadratic forms may round differently in the last bit once stacked
+        assert abs(report.worst_violation - slacks.min()) <= (1e-15 if measure == "skew" else 0.0)
+        if report.witness is not None:
+            before, after = reevaluate_witness(report)
+            assert abs(before - report.witness.value_before) <= 1e-12
+            assert abs(after - report.witness.value_after) <= 1e-12
 
 
 def test_pool_size_is_capped_by_cpus_and_chunks():
