@@ -272,7 +272,7 @@ def random_incoherent_channel(dim: int, n_kraus: int, seed) -> KrausChannel:
 def _draw_incoherent(rng: np.random.Generator, dim: int, n_kraus: int) -> tuple:
     """The ``_monomials`` arguments (n_kraus, dim) of ``random_incoherent_channel``,
     drawn from rng: column maps, moduli and phases."""
-    perms = np.array([rng.permutation(dim) for _ in range(n_kraus)])
+    perms = rng.permuted(np.tile(np.arange(dim), (n_kraus, 1)), axis=1)  # as n_kraus rng.permutation(dim)
     # column j of the squared moduli is a flat Dirichlet sample: it sums to one
     moduli = np.sqrt(rng.dirichlet(np.ones(n_kraus), size=dim).T)
     return perms, moduli, rng.uniform(0.0, _TWO_PI, size=(n_kraus, dim))

@@ -33,7 +33,10 @@ class _InputError(Exception):
 
 
 def _default_seed() -> int:
-    return int(os.environ.get("COHERENCE_LAB_SEED", "0"))
+    try:
+        return nonnegative_int(os.environ.get("COHERENCE_LAB_SEED", "0"))
+    except (ValueError, argparse.ArgumentTypeError) as exc:
+        raise BadParamsError(f"COHERENCE_LAB_SEED is not an integer >= 0: {exc}") from exc
 
 
 def _load_json(path: str) -> dict:
@@ -65,21 +68,16 @@ def _load_channel(path: str) -> ch_mod.KrausChannel:
         raise _InputError(f"bad channel file {path}: {exc}") from exc
 
 
-def _dump(payload, out_path):
-    text = json.dumps(payload, indent=2, sort_keys=True)
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-    else:
-        sys.stdout.write(text + "\n")
-
-
 def _write_text(text: str, out_path):
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
+
+
+def _dump(payload, out_path):
+    _write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", out_path)
 
 
 def emit_reports(reports, format: str = "json") -> str:
@@ -108,6 +106,14 @@ def positive_int(text: str) -> int:
     return value
 
 
+def nonnegative_int(text: str) -> int:
+    """argparse type of ``--seed``: anything but an integer >= 0 is a usage error (exit 2)."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once: parsing leaves it unchanged."""
@@ -120,7 +126,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_measure = sub.add_parser("measure", help="evaluate a measure on a state file")
     p_measure.add_argument("--state", required=True, help="state JSON file")
     p_measure.add_argument("--measure", required=True, choices=m_mod.MEASURE_NAMES)
-    p_measure.add_argument("--seed", type=int, default=None, help="optimizer seed (int_rand)")
+    p_measure.add_argument("--seed", type=nonnegative_int, default=None, help="optimizer seed (int_rand)")
     p_measure.add_argument("--out", default=None)
 
     p_channel = sub.add_parser("check-channel", help="incoherence and CPO verdicts")
@@ -139,7 +145,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p_verify.add_argument("--dim", type=int, default=3)
     p_verify.add_argument("--trials", type=int, default=None)
-    p_verify.add_argument("--seed", type=int, default=None)
+    p_verify.add_argument("--seed", type=nonnegative_int, default=None)
     tol_help = ("violation tolerance, default 1e-8 (1e-6 for int_rand); C5 ignores it and uses "
                 "its fixed 1e-6 near-maximum window and 1e-3 membership tolerance")
     p_verify.add_argument("--tol", type=float, default=None, help=tol_help)
@@ -150,7 +156,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_hunt = sub.add_parser("hunt", help="skew witness and randomized counterexample search")
     p_hunt.add_argument("--dim", type=int, default=3)
     p_hunt.add_argument("--trials", type=int, default=100)
-    p_hunt.add_argument("--seed", type=int, default=None)
+    p_hunt.add_argument("--seed", type=nonnegative_int, default=None)
     p_hunt.add_argument("--tol", type=float, default=1e-8)
     p_hunt.add_argument("--jobs", type=positive_int, default=1)
     p_hunt.add_argument("--out", default=None)

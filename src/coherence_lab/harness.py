@@ -7,13 +7,13 @@ produce bit-identical results.
 
 Trials run in blocks of at most TRIAL_BLOCK.  Each trial only draws its
 inputs as arrays from its own stream default_rng([seed, trial]), in the
-order it would draw them alone.  The block builds them into states and
-Kraus sets as stacks, one per rank or Kraus count, validates each stack
-once, maps it as a stack and evaluates the measure once per stack, so that
-it makes one spectral call where the trials alone would make one each; the
-stacked kernels round every row as they round one matrix.  Objects are
-built for the witness only.  THEOREM3 measures the whole probe panel of
-every channel in the block as one stack.
+order it would draw them alone; the block seeds all its streams at once.
+It builds the draws into states and Kraus sets as stacks, one per rank or
+Kraus count, validates each stack once, maps it as a stack and evaluates
+the measure once per stack, making one spectral call where the trials
+alone would make one each; the stacked kernels round every row as they
+round one matrix.  Objects are built for the witness only.  THEOREM3
+measures the whole probe panel of every channel in the block as one stack.
 
 Criteria: the keys of ``CRITERIA``, each run by ``check_criterion``
 -------------------------------------------------------------------
@@ -84,6 +84,10 @@ PROBE_COUNT = 20
 # Trials evaluated as one stack: bounds a block's memory whatever the trial count.
 TRIAL_BLOCK = 256
 
+# SeedSequence's hash constants (NumPy NEP 19, after O'Neill's seed_seq_fe).
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R, _MASK32 = 0xCA01F9DD, 0x4973F715, 0xFFFFFFFF
+
 
 @dataclasses.dataclass(frozen=True)
 class TrialConfig:
@@ -99,14 +103,17 @@ class TrialConfig:
     def __post_init__(self):
         if not 2 <= self.dim <= MAX_DIM:
             raise BadDimError(f"dim must be >= 2 and <= {MAX_DIM}, got {self.dim}")
-        if self.n_trials < 1:
-            raise BadParamsError("n_trials must be >= 1")
+        if not 1 <= self.n_trials <= 2**32:  # each trial index is one 32-bit entropy word
+            raise BadParamsError(f"n_trials must be in [1, 2**32], got {self.n_trials}")
+        if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
+            raise BadParamsError(f"seed must be an integer >= 0, got {self.seed!r}")
         if not self.tol > 0:
             raise BadParamsError("tol must be positive")
         lo, hi = self.n_kraus_range
         if lo < 1 or hi < lo:
             raise BadParamsError(f"bad n_kraus_range {self.n_kraus_range}")
         object.__setattr__(self, "n_kraus_range", (int(lo), int(hi)))
+        object.__setattr__(self, "seed", int(self.seed))  # a numpy integer would not serialize
 
 
 def default_tol(measure_name: str) -> float:
@@ -242,8 +249,50 @@ def _block(slack, violation, make_witness, counted=None) -> _Block:
     )
 
 
+@lru_cache(maxsize=1)
+def _seed_words_type() -> type:
+    """The ISeedSequence that hands PCG64 the state words ``_seed_words``
+    computed, defined on first use: subclassing it imports numpy.random."""
+
+    @dataclasses.dataclass
+    class SeedWords(np.random.bit_generator.ISeedSequence):
+        words: np.ndarray
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.words
+
+    return SeedWords
+
+
+def _seed_words(seed: int, trials: range) -> np.ndarray:
+    """SeedSequence([seed, t]).generate_state(4, np.uint64) for each trial t
+    (< 2**32), as rows (N, 4): SeedSequence's pool-of-4 hash, run in uint32
+    arithmetic over the trial axis, for a seed of any number of 32-bit words."""
+    shifts = range(0, max(seed.bit_length(), 1), 32)  # the seed's 32-bit words, low first
+    entropy = [np.full(len(trials), seed >> s & _MASK32, dtype=np.uint32) for s in shifts]
+    entropy.append(np.arange(trials.start, trials.stop).astype(np.uint32))
+    h = [_INIT_A]  # the hash constant, advanced by every hashmix
+
+    def hashmix(value, mult=_MULT_A):
+        value = value ^ h[0]
+        h[0] = h[0] * mult & _MASK32
+        value = value * h[0]
+        return value ^ value >> 16
+
+    pool = [hashmix(e) for e in (entropy + [np.zeros_like(entropy[0])] * 4)[:4]]
+    # each pool word takes in each other one, then each entropy word past the fourth
+    for src, dst in [(s, d) for s in range(max(4, len(entropy))) for d in range(4) if s != d]:
+        mixed = pool[dst] * _MIX_MULT_L - hashmix(pool[src] if src < 4 else entropy[src]) * _MIX_MULT_R
+        pool[dst] = mixed ^ mixed >> 16
+    h[0] = _INIT_B
+    state = np.stack([hashmix(pool[i % 4], _MULT_B) for i in range(8)], axis=1)
+    return state.astype("<u4").view("<u8").astype(np.uint64)
+
+
 def _trial_rngs(cfg: TrialConfig, trials: range) -> list:
-    return [np.random.default_rng([cfg.seed, t]) for t in trials]
+    """The stream default_rng([cfg.seed, t]) of each trial t, seeded for the block at once."""
+    seed_words = _seed_words_type()
+    return [np.random.Generator(np.random.PCG64(seed_words(w))) for w in _seed_words(cfg.seed, trials)]
 
 
 def _draw_state(rng: np.random.Generator, dim: int, measure_name: str) -> np.ndarray:
@@ -270,7 +319,8 @@ def _groups(draws) -> list:
 def _states(draws) -> np.ndarray:
     """The validated stack of the states of ``_draw_state`` draws, built per
     shape: zero-padding G to rank d would change how the products round."""
-    out = np.empty((len(draws), len(draws[0]), len(draws[0])), dtype=np.complex128)
+    d = draws[0].shape[-2:][0]  # of amplitudes (d,) or Gram parts (2, d, r)
+    out = np.empty((len(draws), d, d), dtype=np.complex128)
     for rows in _groups(draws):
         g = np.stack([draws[i] for i in rows])
         out[rows] = st_mod._projectors(g) if g.ndim == 2 else st_mod._gram_states(g)
@@ -565,26 +615,15 @@ def _c5_report(measure: str, cfg: TrialConfig) -> CriterionReport:
     rhos = amp[:, :, None] * amp[:, None, :].conj()
     deviation = mcs_deviation(rhos)
     slack = C5_MCS_TOL - deviation
-    offenders = np.flatnonzero(slack < 0)
-
-    witness = None
-    if offenders.size:
-        i = offenders[np.argmin(slack[offenders])]
-        witness = ViolationWitness(
-            state=DensityMatrix(rhos[i], check_psd=False),
-            channel=None,
-            value_before=float(vals[near[i]]),
-            value_after=float(deviation[i]),
-            aux={"max_value": best_val},
-        )
+    block = _block(slack, slack < 0, _witness(rhos, vals[near], deviation, aux=lambda i: {"max_value": best_val}))
     return CriterionReport(
         criterion="C5",
         measure=measure,
         dim=cfg.dim,
         trials=cfg.n_trials,
-        violations=offenders.size,
+        violations=int(np.count_nonzero(block.violation)),
         worst_violation=float(slack.min()),
-        witness=witness,
+        witness=block.witness,
         seed=cfg.seed,
         max_value=best_val,
     )

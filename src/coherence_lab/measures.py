@@ -83,8 +83,8 @@ class OptimizerConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.restarts < 0 or self.max_iterations < 1 or not self.step_tol > 0:
-            raise BadParamsError(f"need restarts >= 0, max_iterations >= 1, step_tol > 0: {self}")
+        if self.restarts < 0 or self.max_iterations < 1 or not self.step_tol > 0 or self.seed < 0:
+            raise BadParamsError(f"need restarts >= 0, max_iterations >= 1, step_tol > 0, seed >= 0: {self}")
 
 
 @dataclasses.dataclass(frozen=True, eq=False)

@@ -191,12 +191,14 @@ def random_density(dim: int, rank: int, seed) -> DensityMatrix:
 
 
 def _draw_gram(rng: np.random.Generator, dim: int, rank: int) -> np.ndarray:
-    """The dim x rank complex Gaussian G of ``random_density``, drawn from rng."""
-    return rng.standard_normal((dim, rank)) + 1j * rng.standard_normal((dim, rank))
+    """The parts (2, dim, rank) of the G = x[0] + i x[1] of ``random_density``, drawn from rng."""
+    return rng.standard_normal((2, dim, rank))
 
 
-def _gram_states(g: np.ndarray) -> np.ndarray:
-    """G G†/tr(G G†) of a d x r matrix G, or of each one in a stack (..., d, r)."""
+def _gram_states(x: np.ndarray) -> np.ndarray:
+    """G G†/tr(G G†) of G = x[0] + i x[1] for the parts x (2, d, r) of a
+    ``_draw_gram`` draw, or of each one in a stack (..., 2, d, r)."""
+    g = x[..., 0, :, :] + 1j * x[..., 1, :, :]
     m = g @ dagger(g)
     return m / np.trace(m, axis1=-2, axis2=-1).real[..., None, None]
 

@@ -216,6 +216,34 @@ def test_nonpositive_jobs_is_exit_2(capsys, command, jobs):
     assert capsys.readouterr().out == ""
 
 
+@pytest.mark.parametrize("seed", ["-1", "abc", "1.5"])
+@pytest.mark.parametrize("command", [
+    ["verify", "--measure", "l1", "--criterion", "C1", "--dim", "3", "--trials", "5"],
+    ["verify", "--measure", "l1", "--criterion", "C1", "--dim", "3", "--trials", "5", "--jobs", "2"],
+    ["verify", "--measure", "l1", "--criterion", "C5", "--dim", "3", "--trials", "2"],
+    ["hunt", "--dim", "3", "--trials", "5"],
+    ["measure", "--state", "x.json", "--measure", "int_rand"],
+])
+def test_bad_seed_is_exit_2(capsys, command, seed):
+    assert cli.run(command + ["--seed", seed]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--seed" in captured.err
+
+
+@pytest.mark.parametrize("value", ["-1", "abc", ""])
+@pytest.mark.parametrize("command", [
+    ["verify", "--measure", "l1", "--criterion", "C2", "--dim", "3", "--trials", "5"],
+    ["hunt", "--dim", "3", "--trials", "5"],
+])
+def test_bad_env_var_seed_is_exit_2(capsys, monkeypatch, command, value):
+    monkeypatch.setenv("COHERENCE_LAB_SEED", value)
+    assert cli.run(command) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "COHERENCE_LAB_SEED" in captured.err
+
+
 def test_verify_dim_1_is_exit_2(capsys):
     assert cli.run(["verify", "--measure", "l1", "--criterion", "C2", "--dim", "1"]) == 2
     assert "dim must be >= 2" in capsys.readouterr().err

@@ -65,6 +65,65 @@ def test_trial_config_caps_dim_at_16():
         TrialConfig(dim=17, n_trials=1)
 
 
+def test_trial_config_caps_trials_at_2_32_and_rejects_negative_seeds():
+    assert TrialConfig(dim=2, n_trials=2**32).n_trials == 2**32
+    with pytest.raises(BadParamsError, match="n_trials"):
+        TrialConfig(dim=2, n_trials=2**32 + 1)
+    stored = TrialConfig(dim=2, n_trials=1, seed=np.int64(7)).seed
+    assert stored == 7 and type(stored) is int  # so that reports serialize
+    for seed in (-1, -(2**40), 1.5, "3"):
+        with pytest.raises(BadParamsError, match="seed"):
+            TrialConfig(dim=2, n_trials=1, seed=seed)
+
+
+# The largest seed the benchmark passes, 4294967295 * 1000 + 999, and seeds
+# of one to five 32-bit words (five words run SeedSequence's tail mixing).
+STREAM_SEEDS = (0, 1, 2**32 - 1, 2**32, 4294967295 * 1000 + 999, 2**64 + 3, 2**128 + 11)
+
+
+@pytest.mark.parametrize("seed", STREAM_SEEDS)
+def test_trial_streams_match_default_rng(seed):
+    """The block's seeding is numpy's: each trial's PCG64 seed words are
+    SeedSequence([seed, t])'s, and its stream is default_rng([seed, t])'s."""
+    cfg = TrialConfig(dim=2, n_trials=2**32, seed=seed)
+    for trials in (range(300), range(2**32 - 1, 2**32)):
+        words = harness._seed_words(seed, trials)
+        rngs = harness._trial_rngs(cfg, trials)
+        assert words.shape == (len(trials), 4) and len(rngs) == len(trials)
+        for t, w, rng in zip(trials, words, rngs):
+            assert _same_bits(w, np.random.SeedSequence([seed, t]).generate_state(4, np.uint64))
+            assert _same_bits(rng.standard_normal(16), np.random.default_rng([seed, t]).standard_normal(16))
+
+
+def _per_matrix_draws(rng, dim, rank, n):
+    """G as two (d, r) calls, then ``_draw_incoherent``'s column maps as n
+    ``permutation`` calls, its moduli and its phases: the draws that the
+    single-call draws replaced, in their order."""
+    g = rng.standard_normal((dim, rank)) + 1j * rng.standard_normal((dim, rank))
+    perms = np.array([rng.permutation(dim) for _ in range(n)])
+    moduli = np.sqrt(rng.dirichlet(np.ones(n), size=dim).T)
+    return g, (perms, moduli, rng.uniform(0.0, 2.0 * np.pi, size=(n, dim)))
+
+
+@pytest.mark.parametrize("dim", range(2, 9))
+def test_single_call_draws_match_the_per_matrix_draws(dim):
+    """A Gram draw in one (2, d, r) call and the column maps in one
+    ``permuted`` call give, bit for bit, the numbers of the per-matrix calls
+    they replace, and leave the stream where those calls left it."""
+    for rank in range(1, dim + 1):
+        for n in range(1, 5):
+            rng, ref_rng = (np.random.default_rng([dim, rank, n]) for _ in range(2))
+            parts = st_mod._draw_gram(rng, dim, rank)
+            channel = ch_mod._draw_incoherent(rng, dim, n)
+            g, ref_channel = _per_matrix_draws(ref_rng, dim, rank, n)
+            assert _same_bits(parts[0] + 1j * parts[1], g)
+            m = g @ dagger(g)
+            assert _same_bits(st_mod._gram_states(parts), m / np.trace(m).real)
+            for got, want in zip(channel, ref_channel):
+                assert _same_bits(got, want)
+            assert _same_bits(rng.standard_normal(3), ref_rng.standard_normal(3))
+
+
 def test_reports_are_deterministic():
     a = check_criterion("C2", "rel_ent", small_cfg())
     b = check_criterion("C2", "rel_ent", small_cfg())
@@ -133,7 +192,7 @@ def test_stacked_sampler_matches_the_public_constructors(dim):
             from_pure(mcs_sample(dim, ref_rng)),
         ))
     # the block mixes every rank and every Kraus count
-    assert {g.shape[1] for g in states} == set(range(1, dim + 1))
+    assert {g.shape[-1] for g in states} == set(range(1, dim + 1))
     assert {perms.shape[0] for perms, _, _ in channels} == {1, 2, 3, 4}
 
     m = harness._states(states)

@@ -345,6 +345,7 @@ def test_int_rand_qubit_closed_form():
         {"step_tol": 0.0},
         {"step_tol": -1e-8},
         {"step_tol": float("nan")},
+        {"seed": -1},
     ],
 )
 def test_optimizer_config_rejects_bad_values(kwargs):
