@@ -15,6 +15,7 @@ from coherence_lab.channels import (
     KrausChannel,
     apply_channel,
     apply_selective,
+    is_cpo,
     random_incoherent_channel,
     random_incoherent_unitary,
 )
@@ -41,9 +42,9 @@ from coherence_lab.harness import (
     skew_witness_report,
 )
 from coherence_lab.mcs import is_mcs, mcs_deviation, mcs_sample
-from coherence_lab.measures import MEASURE_NAMES, measure_by_name
+from coherence_lab.measures import MEASURE_NAMES, c_l1, c_rel_ent, l1_pure, measure_by_name, rel_ent_pure
 from coherence_lab.numerics import dagger
-from coherence_lab.states import DensityMatrix, from_pure, random_density, random_pure
+from coherence_lab.states import DensityMatrix, PureState, from_pure, random_density, random_pure
 
 
 def small_cfg(dim=3, n=50, seed=0, **kw):
@@ -297,6 +298,61 @@ def test_blocks_match_the_per_trial_reference(criterion, measure, monkeypatch):
             before, after = reevaluate_witness(report)
             assert abs(before - report.witness.value_before) <= 1e-12
             assert abs(after - report.witness.value_after) <= 1e-12
+
+
+def _lemma2_trial(rng, trial, cfg):
+    """One LEMMA2 trial through the public API: its slack and whether it counts."""
+    rho = from_pure(mcs_sample(cfg.dim, rng)) if trial % 2 == 0 else _per_trial_input(rng, cfg.dim, "any")
+    if rng.uniform() < 0.25:
+        channel = random_incoherent_unitary(cfg.dim, rng).as_channel()
+    else:
+        channel = _per_trial_channel(rng, cfg)
+    before, after = mcs_deviation(rho), mcs_deviation(apply_channel(channel, rho))
+    return after - cfg.tol, not is_cpo(channel, cfg.tol) or before > cfg.tol
+
+
+def _probe_deviation(channel, probes):
+    """The largest change of l1 or rel_ent over the probes, one probe at a time."""
+    devs = []
+    for amplitudes in probes:
+        probe = PureState(amplitudes)
+        out = apply_channel(channel, from_pure(probe))
+        p = probe.probabilities
+        devs.append(max(abs(c_l1(out) - l1_pure(p)), abs(c_rel_ent(out) - rel_ent_pure(p))))
+    return max(devs)
+
+
+def _theorem3_trial(rng, cfg, probes):
+    """One THEOREM3 trial through the public API: its slack and whether it counts."""
+    lo, hi = max(2, cfg.n_kraus_range[0]), cfg.n_kraus_range[1]
+    for _ in range(8):
+        channel = random_incoherent_channel(cfg.dim, int(rng.integers(lo, max(lo, hi) + 1)), rng)
+        found = not is_cpo(channel, cfg.tol)
+        if found:
+            break
+    cpo = random_incoherent_unitary(cfg.dim, rng).as_channel()
+    dev, cpo_dev = _probe_deviation(channel, probes), _probe_deviation(cpo, probes)
+    return min(dev - cfg.tol, harness.CPO_PRESERVE_TOL - cpo_dev), found
+
+
+@pytest.mark.parametrize("criterion, loose_tol", [("LEMMA2", 0.5), ("THEOREM3", 0.9)])
+@pytest.mark.parametrize("dim", [2, 3, 4, 6])
+@pytest.mark.parametrize("seed", [0, 7])
+@pytest.mark.parametrize("loose", [False, True])
+def test_channel_blocks_match_the_per_trial_reference(criterion, loose_tol, dim, seed, loose, monkeypatch):
+    """LEMMA2's and THEOREM3's blocks give, bit for bit, the slack and the
+    counted flag of each trial evaluated alone through the public API."""
+    monkeypatch.setattr(harness, "TRIAL_BLOCK", 7)
+    cfg = small_cfg(dim=dim, n=40, seed=seed, **({"tol": loose_tol} if loose else {}))
+    blocks = harness._run_trials(criterion, harness.CRITERIA[criterion].measure, cfg, jobs=1)
+    probes = _probe_panel(dim, seed, harness.PROBE_COUNT)
+    ref = [
+        _lemma2_trial(rng, t, cfg) if criterion == "LEMMA2" else _theorem3_trial(rng, cfg, probes)
+        for t, rng in ((t, np.random.default_rng([seed, t])) for t in range(cfg.n_trials))
+    ]
+    slack, counted = (np.array(x) for x in zip(*ref))
+    assert _same_bits(np.concatenate([b.slack for b in blocks]), slack)
+    assert _same_bits(np.concatenate([b.counted for b in blocks]), counted)
 
 
 def test_pool_size_is_capped_by_cpus_and_chunks():
