@@ -75,9 +75,12 @@ def _check_complete(ops: np.ndarray) -> None:
         raise IncompleteChannelError(f"completeness defect {defect.max():.3e} exceeds 1e-10")
 
 
-def is_incoherent_channel(ch: KrausChannel, tol: float = INCOHERENT_ENTRY_TOL) -> bool:
-    """True iff every Kraus operator has at most one entry above tol per column."""
-    return not bool(((np.abs(np.stack(ch.kraus)) > tol).sum(axis=-2) > 1).any())
+def is_incoherent_channel(ch: KrausChannel | np.ndarray, tol: float = INCOHERENT_ENTRY_TOL):
+    """True iff every Kraus operator has at most one entry above tol per column:
+    a bool for a channel, one verdict per set for Kraus sets (..., n, d, d)."""
+    ops = np.stack(ch.kraus) if isinstance(ch, KrausChannel) else ch
+    verdict = ~((np.abs(ops) > tol).sum(axis=-2) > 1).any(axis=(-2, -1))
+    return bool(verdict) if isinstance(ch, KrausChannel) else verdict
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
@@ -222,37 +225,42 @@ class IncoherentUnitary:
         return {"dim": self.dim, "perm": list(self.perm), "phases": list(self.phases)}
 
 
-def is_cpo(
-    ch: KrausChannel, tol: float = 1e-8, *, entry_tol: float = INCOHERENT_ENTRY_TOL
-) -> bool:
-    """True iff the channel is coherence preserving: unitary and incoherent.
+def is_cpo(ch: KrausChannel | np.ndarray, tol: float = 1e-8, *, entry_tol: float = INCOHERENT_ENTRY_TOL):
+    """True iff the channel is coherence preserving: unitary and incoherent; a
+    bool for a channel, one verdict per set for Kraus sets (..., n, d, d), from
+    one Gram eigendecomposition per stack.
 
-    Incoherence is decided as in ``is_incoherent_channel(ch, entry_tol)``.
+    Incoherence is decided by ``is_incoherent_channel(ch, entry_tol)``.
     Unitarity is decided on the n x n Kraus Gram matrix G_ab = tr(K_a† K_b),
     whose nonzero eigenvalues are those of the d^2 x d^2 Choi matrix: a
     single complete operator is unitary, and n >= 2 operators make a unitary
     map when the second-largest eigenvalue is at most tol times the largest,
     which admits Kraus sets with repeated proportional operators.
     """
-    if not is_incoherent_channel(ch, entry_tol):
-        return False
-    if ch.n_kraus == 1:
-        return True
-    flat = np.stack(ch.kraus).reshape(ch.n_kraus, -1)
-    w = numerics.hermitian_eigen(flat.conj() @ flat.T).eigenvalues
-    return bool(w[-2] <= tol * w[-1])
+    ops = np.stack(ch.kraus) if isinstance(ch, KrausChannel) else ch
+    verdict = is_incoherent_channel(ops, entry_tol)
+    if ops.shape[-3] > 1 and verdict.any():
+        flat = ops.reshape(*ops.shape[:-2], -1)
+        w = numerics.hermitian_eigen(flat.conj() @ np.swapaxes(flat, -1, -2)).eigenvalues
+        verdict = verdict & (w[..., -2] <= tol * w[..., -1])
+    return bool(verdict) if isinstance(ch, KrausChannel) else verdict
 
 
 def random_incoherent_unitary(dim: int, seed) -> IncoherentUnitary:
     """Uniformly random relabeling with uniform phases."""
     if dim < 2:
         raise BadParamsError("dim must be >= 2")
-    return IncoherentUnitary(*_draw_unitary(np.random.default_rng(seed), dim))
+    return _unitary(_draw_unitary(np.random.default_rng(seed), dim))
 
 
-def _draw_unitary(rng: np.random.Generator, dim: int) -> tuple[np.ndarray, np.ndarray]:
-    """The permutation and the phases, in [0, 2 pi), of ``random_incoherent_unitary``, drawn from rng."""
-    return rng.permutation(dim), rng.uniform(0.0, _TWO_PI, dim)
+def _draw_unitary(rng: np.random.Generator, dim: int) -> tuple:
+    """The ``_monomials`` arguments (1, dim) of ``random_incoherent_unitary``, drawn from rng."""
+    return rng.permutation(dim)[None], np.ones((1, dim)), rng.uniform(0.0, _TWO_PI, (1, dim))
+
+
+def _unitary(draw) -> IncoherentUnitary:
+    """The relabeling of a ``_draw_unitary`` draw, which keeps its phases, drawn in [0, 2 pi), as they are."""
+    return IncoherentUnitary(draw[0][0], draw[2][0])
 
 
 def random_incoherent_channel(dim: int, n_kraus: int, seed) -> KrausChannel:

@@ -12,8 +12,9 @@ It builds the draws into states and Kraus sets as stacks, one per rank or
 Kraus count, validates each stack once, maps it as a stack and evaluates
 the measure once per stack, making one spectral call where the trials
 alone would make one each; the stacked kernels round every row as they
-round one matrix.  Objects are built for the witness only.  THEOREM3
-measures the whole probe panel of every channel in the block as one stack.
+round one matrix; ``is_cpo`` decides a Kraus stack in one call.  Objects
+are built for the witness only.  THEOREM3 redraws each trial's channel
+while it is a CPO, then measures the probe panel of each Kraus stack at once.
 
 Criteria: the keys of ``CRITERIA``, each run by ``check_criterion``
 -------------------------------------------------------------------
@@ -59,8 +60,6 @@ from .channels import (
     apply_selective,
     channel_from_dict,
     is_cpo,
-    random_incoherent_channel,
-    random_incoherent_unitary,
     unitary_from_dict,
 )
 from .errors import BadDimError, BadParamsError, BadPayloadError
@@ -413,13 +412,11 @@ def _lemma1_block(measure_name: str, cfg: TrialConfig, trials: range) -> _Block:
     rngs = _trial_rngs(cfg, trials)
     m = _states([_draw_state(rng, cfg.dim, measure_name) for rng in rngs])
     draws = [ch_mod._draw_unitary(rng, cfg.dim) for rng in rngs]
-    perms, phases = (np.stack(x) for x in zip(*draws))
-    # the drawn phases lie in [0, 2 pi), where IncoherentUnitary keeps them as they are
-    u = ch_mod._monomials(perms, np.ones(perms.shape), phases)
+    u = ch_mod._monomials(*(np.stack(a) for a in zip(*draws)))[:, 0]
     before = measure.evaluate(m)
     after = measure.evaluate(u @ m @ dagger(u))
     slack = cfg.tol - np.abs(after - before)
-    return _block(slack, slack < 0, _witness(m, before, after, lambda i: IncoherentUnitary(*draws[i])))
+    return _block(slack, slack < 0, _witness(m, before, after, lambda i: ch_mod._unitary(draws[i])))
 
 
 def _lemma2_block(measure_name: str, cfg: TrialConfig, trials: range) -> _Block:
@@ -430,17 +427,17 @@ def _lemma2_block(measure_name: str, cfg: TrialConfig, trials: range) -> _Block:
         for t, rng in zip(trials, rngs)
     ])
     # A quarter of the channels are CPOs so the allowed branch gets exercised.
-    channels = [
-        random_incoherent_unitary(cfg.dim, rng).as_channel() if rng.uniform() < 0.25
-        else _kraus_channel(_draw_channel(rng, cfg))
-        for rng in rngs
-    ]
-    before = mcs_deviation(m)
-    after = mcs_deviation(np.stack([apply_channel(ch, rho) for ch, rho in zip(channels, m)]))
+    draws = [ch_mod._draw_unitary(rng, cfg.dim) if rng.uniform() < 0.25 else _draw_channel(rng, cfg)
+             for rng in rngs]
+    out, cpo = np.empty_like(m), np.empty(len(trials), dtype=bool)
+    for rows, ops in _kraus_stacks(draws):
+        out[rows], cpo[rows] = ch_mod._kraus_sum(ops, m[rows]), is_cpo(ops, cfg.tol)
+    before, after = mcs_deviation(m), mcs_deviation(out)
     # a CPO acting on a maximally coherent input is exempt
-    counted = np.array([not is_cpo(ch, cfg.tol) for ch in channels]) | (before > cfg.tol)
+    counted = ~cpo | (before > cfg.tol)
     slack = after - cfg.tol
-    return _block(slack, counted & (slack < 0), _witness(m, before, after, channels.__getitem__), counted)
+    witness = _witness(m, before, after, lambda i: _kraus_channel(draws[i]))
+    return _block(slack, counted & (slack < 0), witness, counted)
 
 
 @lru_cache(maxsize=16)
@@ -456,44 +453,48 @@ def _probe_panel(dim: int, seed: int, count: int) -> np.ndarray:
     return panel
 
 
-def _panel_deviation(probes: np.ndarray, *channels: KrausChannel) -> np.ndarray:
+def _panel_deviation(probes: np.ndarray, ops: np.ndarray) -> np.ndarray:
     """Largest change of either reference measure across the probe panel
-    (P, d), for each channel: all channels' outputs are measured as one stack."""
-    panel = st_mod._projectors(probes)
-    out = np.stack([apply_channel(ch, panel) for ch in channels])
+    (P, d), for each Kraus set of a stack (N, n, d, d): all the outputs are
+    measured as one stack."""
+    out = ch_mod._kraus_sum(ops[:, None], st_mod._projectors(probes))
     p = np.abs(probes) ** 2
     l1_dev = np.abs(m_mod.c_l1(out) - m_mod.l1_pure(p))
     rel_ent_dev = np.abs(m_mod.c_rel_ent(out) - m_mod.rel_ent_pure(p))
     return np.maximum(l1_dev, rel_ent_dev).max(axis=1)
 
 
-def _draw_non_cpo(rng: np.random.Generator, cfg: TrialConfig) -> tuple[KrausChannel, bool]:
-    """A random incoherent channel of at least two Kraus operators, redrawn
-    while it is a CPO, 8 draws at most; and whether it is not a CPO."""
+def _draw_non_cpo(rng: np.random.Generator, cfg: TrialConfig) -> tuple[tuple, bool]:
+    """The draw of a random incoherent channel of at least two Kraus operators,
+    redrawn while it is a CPO, 8 draws at most; and whether it is not a CPO."""
     lo, hi = cfg.n_kraus_range
-    lo = max(2, lo)
     for _ in range(8):
-        candidate = random_incoherent_channel(cfg.dim, int(rng.integers(lo, max(lo, hi) + 1)), rng)
-        if not is_cpo(candidate, cfg.tol):
-            return candidate, True
-    return candidate, False
+        draw = ch_mod._draw_incoherent(rng, cfg.dim, int(rng.integers(max(2, lo), max(2, hi) + 1)))
+        if not is_cpo(ch_mod._monomials(*draw), cfg.tol):
+            return draw, True
+    return draw, False
 
 
 def _theorem3_block(measure_name: str, cfg: TrialConfig, trials: range) -> _Block:
     probes = _probe_panel(cfg.dim, cfg.seed, PROBE_COUNT)
     rngs = _trial_rngs(cfg, trials)
-    channels, found = zip(*(_draw_non_cpo(rng, cfg) for rng in rngs))
-    cpos = [random_incoherent_unitary(cfg.dim, rng) for rng in rngs]
-    dev, cpo_dev = np.split(_panel_deviation(probes, *channels, *(u.as_channel() for u in cpos)), 2)
-    # a trial whose 8 draws were all CPOs (vanishing probability) is inconclusive
+    draws, found = zip(*(_draw_non_cpo(rng, cfg) for rng in rngs))
+    cpos = tuple(ch_mod._draw_unitary(rng, cfg.dim) for rng in rngs)
+    dev = np.empty(2 * len(trials))
+    for rows, ops in _kraus_stacks(draws + cpos):
+        dev[rows] = _panel_deviation(probes, ops)
+    dev, cpo_dev = np.split(dev, 2)
+    # a trial whose 8 draws were all CPOs is inconclusive; is_cpo reads cfg.tol, so that is
+    # rare at the default tol but common at a loose one (over half the trials at 0.9, d <= 4)
     counted = np.array(found)
     masquerade = dev <= cfg.tol
     slack = np.minimum(dev - cfg.tol, CPO_PRESERVE_TOL - cpo_dev)
 
     def witness(i):
-        offender = channels[i] if masquerade[i] else cpos[i]
+        channel = _kraus_channel(draws[i] if masquerade[i] else cpos[i])
+        offender = channel if masquerade[i] else ch_mod._unitary(cpos[i])
         probe = from_pure(PureState(probes[0]))
-        out = apply_channel(offender if masquerade[i] else offender.as_channel(), probe)
+        out = apply_channel(channel, probe)
         aux = {"panel_deviation": float(dev[i]), "cpo_deviation": float(cpo_dev[i]), "measure": "l1"}
         before = float(m_mod.l1_pure(np.abs(probes[0]) ** 2))
         return ViolationWitness(probe, offender, before, float(m_mod.c_l1(out)), aux)
@@ -612,7 +613,7 @@ def _c5_report(measure: str, cfg: TrialConfig) -> CriterionReport:
     best_val = float(vals.max())
     near = np.flatnonzero(vals >= best_val - C5_NEAR_MAX_WINDOW)
     amp = np.sqrt(np.concatenate([w for w, _ in ascents])[near]).astype(np.complex128)
-    rhos = amp[:, :, None] * amp[:, None, :].conj()
+    rhos = st_mod._projectors(amp)
     deviation = mcs_deviation(rhos)
     slack = C5_MCS_TOL - deviation
     block = _block(slack, slack < 0, _witness(rhos, vals[near], deviation, aux=lambda i: {"max_value": best_val}))
@@ -634,13 +635,6 @@ def _c5_report(measure: str, cfg: TrialConfig) -> CriterionReport:
 # ---------------------------------------------------------------------------
 
 
-def _witness_weights(dim: int) -> np.ndarray:
-    """(1/2, 1/3, 1/6) scaled to mass 3/d, padded with uniform 1/d entries."""
-    w = np.full(dim, 1.0 / dim)
-    w[:3] = np.array([1.0 / 2.0, 1.0 / 3.0, 1.0 / 6.0]) * (3.0 / dim)
-    return w
-
-
 def skew_violation_witness(dim: int) -> ViolationWitness:
     """Deterministic growth of the skew information under a cyclic relabeling.
 
@@ -654,7 +648,8 @@ def skew_violation_witness(dim: int) -> ViolationWitness:
     if dim < 3:
         raise BadDimError("no skew violation exists below dimension 3")
     k = default_observable(dim)
-    weights = _witness_weights(dim)
+    weights = np.full(dim, 1.0 / dim)  # (1/2, 1/3, 1/6) scaled to mass 3/d, then uniform 1/d
+    weights[:3] = np.array([1.0 / 2.0, 1.0 / 3.0, 1.0 / 6.0]) * (3.0 / dim)
     base = PureState(np.sqrt(weights))
     shift = IncoherentUnitary(perm=np.roll(np.arange(dim), -1), phases=np.zeros(dim))  # j -> j+1 mod d
     shifted = PureState(np.roll(base.amplitudes, 1))
@@ -665,13 +660,7 @@ def skew_violation_witness(dim: int) -> ViolationWitness:
         state, channel, before, after = base, shift, v_base, v_shifted
     else:
         state, channel, before, after = shifted, shift.inverse(), v_shifted, v_base
-    return ViolationWitness(
-        state=from_pure(state),
-        channel=channel,
-        value_before=before,
-        value_after=after,
-        aux={"observable": k.values.tolist()},
-    )
+    return ViolationWitness(from_pure(state), channel, before, after, {"observable": k.values.tolist()})
 
 
 # ---------------------------------------------------------------------------

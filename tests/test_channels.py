@@ -205,26 +205,39 @@ def choi_says_unitary(ch, tol):
     return bool(w[-2] <= tol * w[-1])
 
 
-@settings(max_examples=80, deadline=None)
-@given(
-    dim=st.integers(2, 8),
-    n_kraus=st.integers(1, 4),
-    split=st.booleans(),
-    tol=st.sampled_from([1e-8, 0.5]),
-    seed=st.integers(0, 2**32 - 1),
-)
-def test_is_cpo_agrees_with_choi_spectrum(dim, n_kraus, split, tol, seed):
-    rng = np.random.default_rng(seed)
-    if split:  # an incoherent unitary split into proportional operators
+def sample_channel(rng, dim, n_kraus, kind):
+    """A random incoherent channel, an incoherent unitary split into n_kraus
+    proportional operators, or a coherent unitary so split."""
+    if kind == "random":
+        return random_incoherent_channel(dim, n_kraus, rng)
+    if kind == "split":
         u = random_incoherent_unitary(dim, rng).matrix()
-        weights = rng.dirichlet(np.ones(n_kraus))
-        phases = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, n_kraus))
-        ch = KrausChannel(tuple(np.sqrt(p) * z * u for p, z in zip(weights, phases)))
     else:
-        ch = random_incoherent_channel(dim, n_kraus, rng)
-    assert is_cpo(ch, tol) == (is_incoherent_channel(ch) and choi_says_unitary(ch, tol))
-    if split:
-        assert is_cpo(ch, tol)
+        u = np.linalg.qr(rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))[0]
+    weights = rng.dirichlet(np.ones(n_kraus))
+    phases = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, n_kraus))
+    return KrausChannel(tuple(np.sqrt(p) * z * u for p, z in zip(weights, phases)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(dim=st.integers(2, 8), tol=st.sampled_from([1e-8, 0.5]), seed=st.integers(0, 2**32 - 1))
+def test_is_cpo_agrees_with_choi_spectrum(dim, tol, seed):
+    """Each channel's verdict is the Choi reference's, and Kraus sets stacked
+    per Kraus count give each set its own channel's verdict."""
+    rng = np.random.default_rng(seed)
+    for n_kraus in range(1, 5):
+        chans = [sample_channel(rng, dim, n_kraus, kind) for kind in ("random", "split", "coherent") * 2]
+        for ch in chans:
+            assert is_cpo(ch, tol) == (is_incoherent_channel(ch) and choi_says_unitary(ch, tol))
+        assert all(is_cpo(ch, tol) for ch in chans[1::3])  # the split incoherent unitaries
+        assert not any(is_incoherent_channel(ch) for ch in chans[2::3])
+        stack = np.stack([np.stack(ch.kraus) for ch in chans])
+        assert is_cpo(stack, tol).tolist() == [is_cpo(ch, tol) for ch in chans]
+        assert is_incoherent_channel(stack).tolist() == [is_incoherent_channel(ch) for ch in chans]
+        assert not is_cpo(stack[2::3], tol).any()  # no set of this stack is incoherent
+        # a stack with leading axes gives a verdict per set in the same layout
+        assert is_cpo(stack.reshape(2, 3, *stack.shape[1:]), tol).tolist() == np.reshape(
+            [is_cpo(ch, tol) for ch in chans], (2, 3)).tolist()
 
 
 def test_random_incoherent_channel_properties():

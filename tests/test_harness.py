@@ -210,8 +210,7 @@ def test_stacked_sampler_matches_the_public_constructors(dim):
         assert kept.sum(axis=1).tolist() == [len(sel) for sel in selective]
         assert _same_bits(weights, np.array([p for sel in selective for p, _ in sel]))
         assert _same_bits(branches, np.stack([b.matrix for sel in selective for _, b in sel]))
-    perms, phases = (np.stack(x) for x in zip(*unitaries))
-    u = ch_mod._monomials(perms, np.ones(perms.shape), phases)
+    u = ch_mod._monomials(*(np.stack(a) for a in zip(*unitaries)))[:, 0]
     assert _same_bits(u, np.stack([r[2].matrix() for r in ref]))
     assert _same_bits(u @ m @ dagger(u), np.stack([r[2].conjugate(r[0]).matrix for r in ref]))
 
@@ -441,8 +440,10 @@ def test_skew_violates_lemma1_at_d3_but_not_d2():
 def test_lemma2_no_violations_and_exercises_cpo_branch():
     report = check_criterion("LEMMA2", None, small_cfg(n=200))
     assert report.violations == 0
-    # some trials are exempt (CPO on MCS input), so fewer slacks than trials
+    # some trials are exempt (CPO on MCS input): the block marks them, and their slack does not count
     assert report.trials == 200
+    blocks = harness._run_trials("LEMMA2", "none", small_cfg(n=400), jobs=1)
+    assert sum(int(np.count_nonzero(~b.counted)) for b in blocks) == 82
 
 
 def test_theorem3_no_masquerading_channels():
@@ -467,7 +468,7 @@ def test_projective_channel_fails_preservation_on_probes():
         ops.append(k)
     projective = KrausChannel(tuple(ops))
     probes = _probe_panel(dim, seed=0, count=20)
-    assert _panel_deviation(probes, projective)[0] > 0.9  # plus-state values drop to zero
+    assert _panel_deviation(probes, np.stack(projective.kraus)[None])[0] > 0.9  # plus-state values drop to zero
 
 
 def test_cpo_channels_preserve_probe_values():
@@ -477,7 +478,7 @@ def test_cpo_channels_preserve_probe_values():
             perm=tuple(np.random.default_rng([5, i]).permutation(3).tolist()),
             phases=tuple(np.random.default_rng([6, i]).uniform(0, 2 * np.pi, 3).tolist()),
         )
-        assert _panel_deviation(probes, u.as_channel())[0] <= 1e-9
+        assert _panel_deviation(probes, np.stack(u.as_channel().kraus)[None])[0] <= 1e-9
 
 
 # ---------------------------------------------------------------------------
