@@ -266,26 +266,27 @@ def _seed_words_type() -> type:
 def _seed_words(seed: int, trials: range) -> np.ndarray:
     """SeedSequence([seed, t]).generate_state(4, np.uint64) for each trial t
     (< 2**32), as rows (N, 4): SeedSequence's pool-of-4 hash, run in uint32
-    arithmetic over the trial axis, for a seed of any number of 32-bit words."""
-    shifts = range(0, max(seed.bit_length(), 1), 32)  # the seed's 32-bit words, low first
-    entropy = [np.full(len(trials), seed >> s & _MASK32, dtype=np.uint32) for s in shifts]
-    entropy.append(np.arange(trials.start, trials.stop).astype(np.uint32))
+    arithmetic over the trial axis, for a seed of any number of 32-bit words.
+    The hashmixes that do not feed each other run as one stack (k, N)."""
+    words = [seed >> s & _MASK32 for s in range(0, max(seed.bit_length(), 1), 32)]  # low first
+    entropy = np.zeros((max(4, len(words) + 1), len(trials)), dtype=np.uint32)
+    entropy[: len(words)], entropy[len(words)] = np.c_[words], np.arange(trials.start, trials.stop)
     h = [_INIT_A]  # the hash constant, advanced by every hashmix
 
-    def hashmix(value, mult=_MULT_A):
-        value = value ^ h[0]
-        h[0] = h[0] * mult & _MASK32
-        value = value * h[0]
-        return value ^ value >> 16
+    def hashmix(values, rows, mult=_MULT_A):  # row i takes the constant's i-th next value
+        h.extend([h[-1] * mult**i & _MASK32 for i in range(1, rows + 1)])
+        c = np.array(h[-rows - 1 :], dtype=np.uint32)[:, None]
+        values = (values ^ c[:-1]) * c[1:]
+        return values ^ values >> 16
 
-    pool = [hashmix(e) for e in (entropy + [np.zeros_like(entropy[0])] * 4)[:4]]
+    pool = hashmix(entropy[:4], 4)
     # each pool word takes in each other one, then each entropy word past the fourth
-    for src, dst in [(s, d) for s in range(max(4, len(entropy))) for d in range(4) if s != d]:
-        mixed = pool[dst] * _MIX_MULT_L - hashmix(pool[src] if src < 4 else entropy[src]) * _MIX_MULT_R
+    for src, dst in [(s, [i for i in range(4) if i != s]) for s in range(len(entropy))]:
+        mixed = pool[dst] * _MIX_MULT_L - hashmix((pool if src < 4 else entropy)[src], len(dst)) * _MIX_MULT_R
         pool[dst] = mixed ^ mixed >> 16
-    h[0] = _INIT_B
-    state = np.stack([hashmix(pool[i % 4], _MULT_B) for i in range(8)], axis=1)
-    return state.astype("<u4").view("<u8").astype(np.uint64)
+    h.append(_INIT_B)
+    state = hashmix(np.tile(pool, (2, 1)), 8, _MULT_B)
+    return state.T.astype("<u4", order="C").view("<u8").astype(np.uint64)
 
 
 def _trial_rngs(cfg: TrialConfig, trials: range) -> list:
@@ -532,8 +533,9 @@ def _run_trials(criterion: str, measure_name: str, cfg: TrialConfig, jobs: int):
 
 C5_NEAR_MAX_WINDOW = 1e-6
 C5_MCS_TOL = 1e-3
-# Restarts ascended together: bounds the kernel's memory whatever the restart count.
-C5_BLOCK = 64
+# Restarts ascended together, and entries one ascent iteration scores past a single
+# pass (restarts x passes x moves x d): bound the kernel's memory whatever the restart count.
+C5_BLOCK, C5_CHAIN_BUDGET = 64, 2048
 
 
 def _ascend(measure: Measure, w: np.ndarray, floor=1e-9, max_rounds=50):
@@ -545,14 +547,19 @@ def _ascend(measure: Measure, w: np.ndarray, floor=1e-9, max_rounds=50):
     moves in row-major order and accept each gain above 1e-15, the step halves
     after a pass without a move, and a round ends below ``floor`` with a
     renormalization, the last one after ``max_rounds`` or a round without a
-    move.  A pass scores the moves of every row in one array evaluation, and
-    scores again, from the new point, those after an accepted one.
+    move.  One array evaluation scores, for every row, the chain of passes it
+    would make before its next accepted move: the rest of its current pass,
+    a fresh pass at the same step if that one moved, then one pass per
+    halving down to ``floor``.  The point does not move along the chain and
+    every step is 0.25 * 2**-j, exact, so the chain's first gain is the move
+    the passes would reach one at a time.  The chain holds as many passes as
+    ``C5_CHAIN_BUDGET`` allows for the stack's shape, from 1 (the current
+    pass alone) to 30.
     """
     w = np.array(w, dtype=np.float64)
     n, d = w.shape
     src, dst = np.nonzero(~np.eye(d, dtype=bool))
     moves = np.arange(src.size)
-    shift = np.eye(d)[dst] - np.eye(d)[src]  # row m: -1 at src[m], +1 at dst[m]
     val = measure.evaluate_pure(w)
     step = np.full(n, 0.25)
     rounds = np.zeros(n, dtype=int)
@@ -560,6 +567,8 @@ def _ascend(measure: Measure, w: np.ndarray, floor=1e-9, max_rounds=50):
     moved = np.zeros(n, dtype=bool)  # a move was accepted in the current pass
     improved = np.zeros(n, dtype=bool)  # ... in the current round
     live = np.ones(n, dtype=bool)
+    depth = min(max(C5_CHAIN_BUDGET // (n * src.size * d), 1), 30)
+    chain = np.arange(depth * src.size)  # move m of the chain's pass p is p * d(d-1) + m
     while True:
         ended = np.flatnonzero(live & (step < floor))
         if ended.size:
@@ -573,20 +582,21 @@ def _ascend(measure: Measure, w: np.ndarray, floor=1e-9, max_rounds=50):
         k = np.flatnonzero(live)
         if not k.size:
             return w, val
+        steps = np.ldexp(step[k, None], -np.maximum(np.arange(depth + 1) - moved[k, None], 0))
         wk = w[k]
-        source = wk[:, src]
-        t = np.minimum(step[k, None], source)
-        trial = wk[:, None, :] + t[:, :, None] * shift  # exact: adds -t, +t or 0.0
+        # t is 0 where no move is scored: at a vanishing source, or past the round's end
+        t = np.minimum(steps[:, :depth, None], wk[:, None, src]) * (steps[:, :depth, None] >= floor)
+        trial = np.repeat(wk[:, None], chain.size, axis=1).reshape(k.size, depth, -1, d)
+        trial[..., moves, src], trial[..., moves, dst] = wk[:, None, src] - t, wk[:, None, dst] + t
         v = measure.evaluate_pure(trial)
-        ok = (moves >= first[k, None]) & (source > 0.0) & (v > val[k, None] + 1e-15)
-        f = ok.argmax(axis=1)  # the first accepted move, where ok has one
+        ok = ((t > 0.0) & (v > val[k, None, None] + 1e-15)).reshape(k.size, -1) & (chain >= first[k, None])
+        f = ok.argmax(axis=1)  # the first accepted move of the chain, where ok has one
         hit = ok[np.arange(k.size), f]
-        w[k[hit]] = trial[hit, f[hit]]
-        val[k[hit]] = v[hit, f[hit]]
-        e = k[~hit]  # passes that ended
-        improved[e] |= moved[e]
-        step[e[~moved[e]]] *= 0.5
-        first[k] = np.where(hit, f + 1, 0)
+        w[k[hit]] = trial.reshape(k.size, -1, d)[hit, f[hit]]
+        val[k[hit]] = v.reshape(k.size, -1)[hit, f[hit]]
+        improved[k] |= hit  # the pass that moved ends in this round
+        step[k] = steps[np.arange(k.size), np.where(hit, f // src.size, depth)]
+        first[k] = np.where(hit, f % src.size + 1, 0)
         moved[k] = hit
 
 

@@ -112,7 +112,7 @@ def test_single_call_draws_match_the_per_matrix_draws(dim):
     ``permuted`` call give, bit for bit, the numbers of the per-matrix calls
     they replace, and leave the stream where those calls left it."""
     for rank in range(1, dim + 1):
-        for n in range(1, 5):
+        for n in range(1, 13):  # past 7, where a reciprocal-of-sum Dirichlet would part from numpy's
             rng, ref_rng = (np.random.default_rng([dim, rank, n]) for _ in range(2))
             parts = st_mod._draw_gram(rng, dim, rank)
             channel = ch_mod._draw_incoherent(rng, dim, n)
@@ -619,19 +619,76 @@ def _ascend_pure(measure, w, floor=1e-9, max_rounds=50):
     return w, val
 
 
-@pytest.mark.parametrize("kw", [{}, {"max_rounds": 1}, {"floor": 1e-3}, {"floor": 0.5}])
-@pytest.mark.parametrize("dim", [2, 3, 5])
+def _ascent_starts(dim, rows):
+    starts = np.random.default_rng([61, dim]).dirichlet(np.ones(dim), size=rows)
+    starts[0, 0] = 0.0  # a vanishing coordinate, skipped as a source
+    starts[0] /= starts[0].sum()
+    return starts
+
+
+def _ascend_seen(measure, starts, **kw):
+    """``_ascend``'s result, and the chain depths of the trial stacks it evaluated."""
+    depths = set()
+
+    def evaluate_pure(p):
+        if p.ndim == 4:  # (rows, passes, moves, d)
+            depths.add(p.shape[1])
+        return measure.evaluate_pure(p)
+
+    return _ascend(dataclasses.replace(measure, evaluate_pure=evaluate_pure), starts, **kw), depths
+
+
+ASCENT_KWARGS = [{}, {"max_rounds": 1}, {"floor": 1e-3}, {"floor": 0.5}]
+
+
+@pytest.mark.parametrize("kw", ASCENT_KWARGS)
+@pytest.mark.parametrize("dim", [2, 3, 5, 8])
 @pytest.mark.parametrize("name", MEASURE_NAMES)
 def test_ascent_stack_matches_one_at_a_time(name, dim, kw):
     m = measure_by_name(name, dim=dim)
-    starts = np.random.default_rng([61, dim]).dirichlet(np.ones(dim), size=5)
-    starts[0, 0] = 0.0  # a vanishing coordinate, skipped as a source
-    starts[0] /= starts[0].sum()
+    starts = _ascent_starts(dim, 5)
     ws, vals = _ascend(m, starts, **kw)
     for start, w, val in zip(starts, ws, vals):
         (w_one,), (val_one,) = _ascend(m, start[None], **kw)
         w_ref, val_ref = _ascend_pure(m, start.copy(), **kw)
         assert np.array_equal(w, w_one) and val == val_one
+        assert np.array_equal(w, w_ref) and val == val_ref
+
+
+@pytest.mark.parametrize("kw", ASCENT_KWARGS[:2])
+@pytest.mark.parametrize("dim", [5, 8])
+@pytest.mark.parametrize("name", MEASURE_NAMES)
+def test_ascent_of_a_full_block_matches_one_at_a_time(name, dim, kw):
+    m = measure_by_name(name, dim=dim)
+    starts = _ascent_starts(dim, harness.C5_BLOCK)
+    (ws, vals), depths = _ascend_seen(m, starts, **kw)
+    assert depths == {1}  # the block scores one pass at a time, each row alone a chain of passes
+    for i, (start, w, val) in enumerate(zip(starts, ws, vals)):
+        ((w_one,), (val_one,)), depths = _ascend_seen(m, start[None], **kw)
+        assert depths == {harness.C5_CHAIN_BUDGET // (dim * (dim - 1) * dim)} and depths != {1}
+        assert np.array_equal(w, w_one) and val == val_one
+        if i < 2:
+            w_ref, val_ref = _ascend_pure(m, start.copy(), **kw)
+            assert np.array_equal(w, w_ref) and val == val_ref
+
+
+@pytest.mark.parametrize("kw", ASCENT_KWARGS)
+@pytest.mark.parametrize("dim", [3, 5])
+@pytest.mark.parametrize("name", MEASURE_NAMES)
+def test_ascent_does_not_depend_on_chain_depth(name, dim, kw, monkeypatch):
+    m = measure_by_name(name, dim=dim)
+    starts = _ascent_starts(dim, 3)
+    entries = len(starts) * dim * (dim - 1) * dim
+    results = []
+    for depth, budget in [(1, 0), (1, entries), (2, 2 * entries), (3, 3 * entries), (30, 1000 * entries)]:
+        monkeypatch.setattr(harness, "C5_CHAIN_BUDGET", budget)
+        result, depths = _ascend_seen(m, starts, **kw)
+        assert depths == (set() if kw.get("floor") == 0.5 else {depth})  # 0.5: no round has a pass
+        results.append(result)
+    for ws, vals in results[1:]:
+        assert np.array_equal(ws, results[0][0]) and np.array_equal(vals, results[0][1])
+    for start, w, val in zip(starts, *results[0]):
+        w_ref, val_ref = _ascend_pure(m, start.copy(), **kw)
         assert np.array_equal(w, w_ref) and val == val_ref
 
 
