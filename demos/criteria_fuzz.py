@@ -37,7 +37,5 @@ for measure in ("l1", "rel_ent", "trivial"):
 print()
 lemma2 = check_criterion("LEMMA2", None, cfg)
 print(f"LEMMA2  (no channel creates maximal coherence): violations={lemma2.violations}")
-theorem3 = check_criterion(
-    "THEOREM3", None, TrialConfig(dim=3, n_trials=150, seed=0, n_kraus_range=(2, 4))
-)
+theorem3 = check_criterion("THEOREM3", None, TrialConfig(dim=3, n_trials=150, seed=0))
 print(f"THEOREM3 (no non-unitary channel preserves values): violations={theorem3.violations}")

@@ -146,8 +146,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--dim", type=int, default=3)
     p_verify.add_argument("--trials", type=int, default=None)
     p_verify.add_argument("--seed", type=nonnegative_int, default=None)
-    tol_help = ("violation tolerance, default 1e-8 (1e-6 for int_rand); C5 ignores it and uses "
-                "its fixed 1e-6 near-maximum window and 1e-3 membership tolerance")
+    tol_help = ("violation tolerance only, default 1e-8 (1e-6 for int_rand); C5 ignores it and uses "
+                "its fixed 1e-6 near-maximum window and 1e-3 membership tolerance, and LEMMA2 and "
+                "THEOREM3 decide CPOs with is_cpo's fixed 1e-8")
     p_verify.add_argument("--tol", type=float, default=None, help=tol_help)
     p_verify.add_argument("--jobs", type=positive_int, default=1)
     p_verify.add_argument("--out", default=None)

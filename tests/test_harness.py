@@ -354,6 +354,24 @@ def test_channel_blocks_match_the_per_trial_reference(criterion, loose_tol, dim,
     assert _same_bits(np.concatenate([b.counted for b in blocks]), counted)
 
 
+def _counted(criterion, cfg):
+    blocks = harness._run_trials(criterion, harness.CRITERIA[criterion].measure, cfg, jobs=1)
+    return np.concatenate([b.counted for b in blocks])
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4, 6])
+@pytest.mark.parametrize("seed", [0, 7])
+def test_cpo_verdicts_do_not_depend_on_tol(dim, seed, monkeypatch):
+    """Being a CPO is a property of the channel: the violation tolerance does
+    not decide which THEOREM3 trials are inconclusive, nor which LEMMA2
+    channels acting on a maximally coherent input (even trials) are exempt."""
+    monkeypatch.setattr(harness, "TRIAL_BLOCK", 7)
+    theorem3 = [_counted("THEOREM3", small_cfg(dim=dim, n=40, seed=seed, tol=tol)) for tol in (1e-8, 0.5, 0.9)]
+    assert _same_bits(theorem3[0], theorem3[1]) and _same_bits(theorem3[0], theorem3[2])
+    lemma2 = [_counted("LEMMA2", small_cfg(dim=dim, n=40, seed=seed, tol=tol))[::2] for tol in (1e-8, 0.5)]
+    assert _same_bits(lemma2[0], lemma2[1])
+
+
 def test_pool_size_is_capped_by_cpus_and_chunks():
     assert _pool_size(jobs=1, cpus=8, n_chunks=40) == 1
     assert _pool_size(jobs=4, cpus=8, n_chunks=40) == 4
@@ -454,7 +472,7 @@ def test_theorem3_no_masquerading_channels():
 
 def test_theorem3_trials_without_a_non_cpo_channel_are_inconclusive(monkeypatch):
     # every draw a CPO: no trial tests anything, so none violates or sets the worst slack
-    monkeypatch.setattr(harness, "is_cpo", lambda channel, tol: True)
+    monkeypatch.setattr(harness, "is_cpo", lambda ops: np.ones(len(ops), dtype=bool))
     report = check_criterion("THEOREM3", None, small_cfg(dim=2, n=5))
     assert (report.trials, report.violations, report.worst_violation, report.witness) == (5, 0, 0.0, None)
 
