@@ -27,6 +27,10 @@ from .states import DensityMatrix
 COMPLETENESS_TOL = 1e-10
 INCOHERENT_ENTRY_TOL = 1e-9
 
+# A Kraus set of n >= 2 operators is unitary when its Gram matrix's
+# second-largest eigenvalue is at most this times the largest.
+CPO_GRAM_RATIO = 1e-8
+
 # Selective outcomes with probability at or below this are dropped.
 PROB_FLOOR = 1e-14
 
@@ -225,24 +229,25 @@ class IncoherentUnitary:
         return {"dim": self.dim, "perm": list(self.perm), "phases": list(self.phases)}
 
 
-def is_cpo(ch: KrausChannel | np.ndarray, tol: float = 1e-8, *, entry_tol: float = INCOHERENT_ENTRY_TOL):
+def is_cpo(ch: KrausChannel | np.ndarray, tol: float = INCOHERENT_ENTRY_TOL):
     """True iff the channel is coherence preserving: unitary and incoherent; a
     bool for a channel, one verdict per set for Kraus sets (..., n, d, d), from
     one Gram eigendecomposition per stack.
 
-    Incoherence is decided by ``is_incoherent_channel(ch, entry_tol)``.
-    Unitarity is decided on the n x n Kraus Gram matrix G_ab = tr(K_a† K_b),
-    whose nonzero eigenvalues are those of the d^2 x d^2 Choi matrix: a
-    single complete operator is unitary, and n >= 2 operators make a unitary
-    map when the second-largest eigenvalue is at most tol times the largest,
-    which admits Kraus sets with repeated proportional operators.
+    Incoherence is decided by ``is_incoherent_channel(ch, tol)``, tol being
+    the entry tolerance.  Unitarity is decided on the n x n Kraus Gram matrix
+    G_ab = tr(K_a† K_b), whose nonzero eigenvalues are those of the d^2 x d^2
+    Choi matrix: a single complete operator is unitary, and n >= 2 operators
+    make a unitary map when the second-largest eigenvalue is at most
+    CPO_GRAM_RATIO times the largest, which admits Kraus sets with repeated
+    proportional operators.
     """
     ops = np.stack(ch.kraus) if isinstance(ch, KrausChannel) else ch
-    verdict = is_incoherent_channel(ops, entry_tol)
+    verdict = is_incoherent_channel(ops, tol)
     if ops.shape[-3] > 1 and verdict.any():
         flat = ops.reshape(*ops.shape[:-2], -1)
         w = numerics.hermitian_eigen(flat.conj() @ np.swapaxes(flat, -1, -2)).eigenvalues
-        verdict = verdict & (w[..., -2] <= tol * w[..., -1])
+        verdict = verdict & (w[..., -2] <= CPO_GRAM_RATIO * w[..., -1])
     return bool(verdict) if isinstance(ch, KrausChannel) else verdict
 
 

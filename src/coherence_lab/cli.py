@@ -106,6 +106,14 @@ def positive_int(text: str) -> int:
     return value
 
 
+def positive_float(text: str) -> float:
+    """argparse type of ``--tol``: anything but a finite float > 0 is a usage error (exit 2)."""
+    value = float(text)
+    if not 0.0 < value < float("inf"):
+        raise argparse.ArgumentTypeError(f"must be finite and > 0, got {value}")
+    return value
+
+
 def nonnegative_int(text: str) -> int:
     """argparse type of ``--seed``: anything but an integer >= 0 is a usage error (exit 2)."""
     value = int(text)
@@ -131,7 +139,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_channel = sub.add_parser("check-channel", help="incoherence and CPO verdicts")
     p_channel.add_argument("--channel", required=True, help="channel JSON file")
-    p_channel.add_argument("--tol", type=float, default=ch_mod.INCOHERENT_ENTRY_TOL,
+    p_channel.add_argument("--tol", type=positive_float, default=ch_mod.INCOHERENT_ENTRY_TOL,
                            help="entry tolerance, default 1e-9, of all three verdicts: "
                                 "incoherent, cpo and canonical_form")
     p_channel.add_argument("--out", default=None)
@@ -146,10 +154,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--dim", type=int, default=3)
     p_verify.add_argument("--trials", type=int, default=None)
     p_verify.add_argument("--seed", type=nonnegative_int, default=None)
-    tol_help = ("violation tolerance only, default 1e-8 (1e-6 for int_rand); C5 ignores it and uses "
-                "its fixed 1e-6 near-maximum window and 1e-3 membership tolerance, and LEMMA2 and "
-                "THEOREM3 decide CPOs with is_cpo's fixed 1e-8")
-    p_verify.add_argument("--tol", type=float, default=None, help=tol_help)
+    tol_help = ("violation tolerance only, a finite float > 0, default 1e-8 (1e-6 for int_rand); C5 "
+                "ignores it and uses its fixed 1e-6 near-maximum window and 1e-3 membership tolerance, "
+                "and LEMMA2 and THEOREM3 decide CPOs with is_cpo's fixed rule (CPO_GRAM_RATIO 1e-8)")
+    p_verify.add_argument("--tol", type=positive_float, default=None, help=tol_help)
     p_verify.add_argument("--jobs", type=positive_int, default=1)
     p_verify.add_argument("--out", default=None)
     p_verify.add_argument("--format", choices=("json", "csv"), default="json")
@@ -158,13 +166,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p_hunt.add_argument("--dim", type=int, default=3)
     p_hunt.add_argument("--trials", type=int, default=100)
     p_hunt.add_argument("--seed", type=nonnegative_int, default=None)
-    p_hunt.add_argument("--tol", type=float, default=1e-8)
+    p_hunt.add_argument("--tol", type=positive_float, default=1e-8)
     p_hunt.add_argument("--jobs", type=positive_int, default=1)
     p_hunt.add_argument("--out", default=None)
 
     p_mcs = sub.add_parser("mcs", help="maximal-coherence membership and preparation")
     p_mcs.add_argument("--state", default=None, help="state JSON file to test")
-    p_mcs.add_argument("--tol", type=float, default=1e-8)
+    p_mcs.add_argument("--tol", type=positive_float, default=1e-8)
     p_mcs.add_argument(
         "--transform-to",
         default=None,
@@ -188,7 +196,7 @@ def _cmd_measure(args) -> int:
 def _cmd_check_channel(args) -> int:
     channel = _load_channel(args.channel)
     incoherent = ch_mod.is_incoherent_channel(channel, args.tol)
-    cpo = ch_mod.is_cpo(channel, entry_tol=args.tol)
+    cpo = ch_mod.is_cpo(channel, args.tol)
     canonical = None
     if incoherent:
         form = ch_mod.canonical_form(channel, args.tol)

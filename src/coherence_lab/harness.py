@@ -44,7 +44,6 @@ from __future__ import annotations
 
 import dataclasses
 import os
-from concurrent.futures import ProcessPoolExecutor
 from functools import lru_cache
 from typing import Callable, Optional, Union
 
@@ -94,8 +93,9 @@ class TrialConfig:
     """Shared knobs for the randomized checks; C5 reads ``n_trials`` as its
     restart count and uses neither ``tol`` nor ``n_kraus_range``.
 
-    ``tol`` is the violation tolerance only: LEMMA2 and THEOREM3 decide
-    whether a channel is a CPO with ``is_cpo`` at its fixed 1e-8."""
+    ``tol`` is the violation tolerance only, finite and positive: LEMMA2 and
+    THEOREM3 decide whether a channel is a CPO with ``is_cpo``'s fixed rule
+    (``channels.CPO_GRAM_RATIO``)."""
 
     dim: int
     n_trials: int
@@ -110,8 +110,8 @@ class TrialConfig:
             raise BadParamsError(f"n_trials must be in [1, 2**32], got {self.n_trials}")
         if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
             raise BadParamsError(f"seed must be an integer >= 0, got {self.seed!r}")
-        if not self.tol > 0:
-            raise BadParamsError("tol must be positive")
+        if not 0 < self.tol < np.inf:
+            raise BadParamsError(f"tol must be finite and positive, got {self.tol!r}")
         lo, hi = self.n_kraus_range
         if lo < 1 or hi < lo:
             raise BadParamsError(f"bad n_kraus_range {self.n_kraus_range}")
@@ -512,6 +512,8 @@ def _run_trials(criterion: str, measure_name: str, cfg: TrialConfig, jobs: int):
     workers = _pool_size(jobs, os.cpu_count() or 1, len(chunks))
     if workers == 1:
         return _run_chunk(criterion, measure_name, cfg, 0, cfg.n_trials)
+    from concurrent.futures import ProcessPoolExecutor  # here, so that runs without a pool never load it
+
     blocks = []
     with ProcessPoolExecutor(max_workers=workers) as pool:
         futures = [pool.submit(_run_chunk, criterion, measure_name, cfg, a, b) for a, b in chunks]
@@ -593,7 +595,7 @@ def _ascend(measure: Measure, w: np.ndarray, floor=1e-9, max_rounds=50):
         moved[k] = hit
 
 
-def _c5_report(measure: str, cfg: TrialConfig) -> CriterionReport:
+def _c5_block(measure: str, cfg: TrialConfig) -> tuple[_Block, float]:
     """Maximize the measure over pure states from ``cfg.n_trials`` restarts
     and test that every near-maximal state found is maximally coherent.
 
@@ -602,7 +604,8 @@ def _c5_report(measure: str, cfg: TrialConfig) -> CriterionReport:
     found stands for the real-amplitude state ``sqrt(p)``.  The restarts
     ascend together, C5_BLOCK at a time, each on its own trajectory.
     Near-maximal means within 1e-6 of the best value; membership is tested
-    at tolerance 1e-3.  A FAIL report (violations > 0) carries a witness state
+    at tolerance 1e-3.  Returns the block of near-maximal states and the best
+    value.  A FAIL report (violations > 0) carries a witness state
     attaining the maximum while not being maximally coherent, which is what
     the 0/1 ``trivial`` measure produces.  For ``int_rand`` the verdict is
     advisory: its mixed-state branch is an optimizer upper bound, and the
@@ -619,18 +622,8 @@ def _c5_report(measure: str, cfg: TrialConfig) -> CriterionReport:
     rhos = st_mod._projectors(amp)
     deviation = mcs_deviation(rhos)
     slack = C5_MCS_TOL - deviation
-    block = _block(slack, slack < 0, _witness(rhos, vals[near], deviation, aux=lambda i: {"max_value": best_val}))
-    return CriterionReport(
-        criterion="C5",
-        measure=measure,
-        dim=cfg.dim,
-        trials=cfg.n_trials,
-        violations=int(np.count_nonzero(block.violation)),
-        worst_violation=float(slack.min()),
-        witness=block.witness,
-        seed=cfg.seed,
-        max_value=best_val,
-    )
+    witness = _witness(rhos, vals[near], deviation, aux=lambda i: {"max_value": best_val})
+    return _block(slack, slack < 0, witness), best_val
 
 
 # ---------------------------------------------------------------------------
@@ -743,8 +736,10 @@ def check_criterion(
     if jobs < 1:
         raise BadParamsError(f"jobs must be >= 1, got {jobs}")
     if entry.block is None:
-        return _c5_report(label, cfg)
-    blocks = _run_trials(criterion, label, cfg, jobs)
+        block, max_value = _c5_block(label, cfg)
+        blocks = [block]
+    else:
+        blocks, max_value = _run_trials(criterion, label, cfg, jobs), None
     slack = np.concatenate([b.slack for b in blocks])
     counted = np.concatenate([b.counted for b in blocks])
     violation = np.concatenate([b.violation for b in blocks])
@@ -760,6 +755,7 @@ def check_criterion(
         worst_violation=float(slack[counted].min()) if counted.any() else 0.0,
         witness=witness,
         seed=cfg.seed,
+        max_value=max_value,
     )
 
 

@@ -43,6 +43,10 @@ _LOG_FLOOR = 1e-15
 # Eigenvalues below this are treated as absent when building ensembles.
 _RANK_TOL = 1e-12
 
+# Step floors of the convex-roof refinement: restarts stop halving below the
+# coarse one, and the winner is polished down to the fine one.
+_COARSE_STEP, _FINE_STEP = 1e-3, 1e-8
+
 
 def shannon_entropy(probs: np.ndarray):
     """Base-2 entropy of each distribution along the last axis, with 0 log 0 = 0."""
@@ -75,16 +79,17 @@ def default_observable(dim: int) -> DiagonalObservable:
 
 @dataclasses.dataclass(frozen=True)
 class OptimizerConfig:
-    """Knobs for the convex-roof estimator."""
+    """Knobs for the convex-roof estimator: restart count, passes per
+    refinement and restart seed.  The step floors are fixed (1e-3 for the
+    restarts, 1e-8 for the winner's polish)."""
 
     restarts: int = 32
     max_iterations: int = 500
-    step_tol: float = 1e-8
     seed: int = 0
 
     def __post_init__(self):
-        if self.restarts < 0 or self.max_iterations < 1 or not self.step_tol > 0 or self.seed < 0:
-            raise BadParamsError(f"need restarts >= 0, max_iterations >= 1, step_tol > 0, seed >= 0: {self}")
+        if self.restarts < 0 or self.max_iterations < 1 or self.seed < 0:
+            raise BadParamsError(f"need restarts >= 0, max_iterations >= 1, seed >= 0: {self}")
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
@@ -274,14 +279,12 @@ def _convex_roof(m: np.ndarray, opt: Optional[OptimizerConfig]) -> tuple[float, 
     r = q.size
     b = phi * np.sqrt(q)  # d x r, rho = b b†
 
-    coarse = max(1e-3, opt.step_tol)
-
-    (best_w,), (best_val,) = _refine_mixer(np.eye(r, dtype=np.complex128)[None], b, opt, coarse)
+    (best_w,), (best_val,) = _refine_mixer(np.eye(r, dtype=np.complex128)[None], b, opt, _COARSE_STEP)
 
     if best_val > _RANK_TOL:
         # per restart: real part, then imaginary part, of an m x r Gaussian, m = r^2
         g = np.random.default_rng(opt.seed).standard_normal((opt.restarts, 2, r * r, r))
-        ws, values = _refine_mixer(np.linalg.qr(g[:, 0] + 1j * g[:, 1])[0], b, opt, coarse)
+        ws, values = _refine_mixer(np.linalg.qr(g[:, 0] + 1j * g[:, 1])[0], b, opt, _COARSE_STEP)
         for w, val in zip(ws, values):
             if best_val <= _RANK_TOL:
                 break
@@ -289,7 +292,7 @@ def _convex_roof(m: np.ndarray, opt: Optional[OptimizerConfig]) -> tuple[float, 
                 best_val, best_w = val, w
 
     if best_val > _RANK_TOL:  # polish the winner down to the fine step floor
-        (best_w,), (best_val,) = _refine_mixer(best_w[None], b, opt, opt.step_tol)
+        (best_w,), (best_val,) = _refine_mixer(best_w[None], b, opt, _FINE_STEP)
 
     members = b @ best_w.T
     probs = (np.abs(members) ** 2).sum(axis=0)
@@ -346,16 +349,12 @@ class Measure:
 MEASURE_NAMES = ("l1", "rel_ent", "int_rand", "skew", "trivial")
 
 
-def measure_by_name(
-    name: str,
-    dim: Optional[int] = None,
-    observable: Optional[DiagonalObservable] = None,
-    opt: Optional[OptimizerConfig] = None,
-) -> Measure:
+def measure_by_name(name: str, dim: Optional[int] = None, opt: Optional[OptimizerConfig] = None) -> Measure:
     """Look up a measure by its wire name.
 
-    ``skew`` needs an observable (or a dim, to get the default diag(0..d-1));
-    ``int_rand`` accepts an optimizer config for its mixed-state branch.
+    ``skew`` needs a dim and uses its default observable diag(0..d-1)
+    (``c_skew`` takes any other); ``int_rand`` accepts an optimizer config
+    for its mixed-state branch.
     """
     if name == "l1":
         return Measure("l1", c_l1, l1_pure)
@@ -364,19 +363,10 @@ def measure_by_name(
     if name == "trivial":
         return Measure("trivial", c_trivial, trivial_pure)
     if name == "int_rand":
-        return Measure(
-            "int_rand",
-            lambda rho: c_int_rand(rho, opt),
-            rel_ent_pure,
-        )
+        return Measure("int_rand", lambda rho: c_int_rand(rho, opt), rel_ent_pure)
     if name == "skew":
-        if observable is None:
-            if dim is None:
-                raise BadParamsError("skew needs an observable or a dimension")
-            observable = default_observable(dim)
-        return Measure(
-            "skew",
-            lambda rho: c_skew(rho, observable),
-            lambda p: c_skew_pure(p, observable),
-        )
+        if dim is None:
+            raise BadParamsError("skew needs a dimension")
+        k = default_observable(dim)
+        return Measure("skew", lambda rho: c_skew(rho, k), lambda p: c_skew_pure(p, k))
     raise BadParamsError(f"unknown measure {name!r}; choose from {MEASURE_NAMES}")

@@ -9,8 +9,6 @@ LAPACK's ``eigh`` that makes one call per stack.
 
 from __future__ import annotations
 
-import dataclasses
-
 import numpy as np
 
 from .errors import (
@@ -76,22 +74,11 @@ def as_hermitian(a, name: str = "matrix") -> np.ndarray:
     return m
 
 
-@dataclasses.dataclass(frozen=True)
-class HermitianEigen:
-    """Spectral decomposition A = V diag(w) V† with eigenvalues ascending,
-    of one matrix or of each matrix in a stack."""
-
-    eigenvalues: np.ndarray  # (..., d) real, ascending
-    eigenvectors: np.ndarray  # (..., d, d) unitary; column k pairs with eigenvalues[..., k]
-
-    def reconstruct(self) -> np.ndarray:
-        v = self.eigenvectors
-        return (v * self.eigenvalues[..., None, :]) @ dagger(v)
-
-
-def hermitian_eigen(a) -> HermitianEigen:
+def hermitian_eigen(a):
     """Diagonalize a Hermitian matrix, or a stack (..., d, d) of them, with
-    one call to LAPACK (``numpy.linalg.eigh``).
+    one call to LAPACK: ``numpy.linalg.eigh``'s own result, eigenvalues
+    (..., d) ascending and unitary eigenvectors (..., d, d) whose column k
+    pairs with eigenvalue k.
 
     The solver runs on the exact Hermitian part ``(a + a†)/2``, which removes
     representation noise below the tolerance.  Raises NonHermitianError when
@@ -99,11 +86,10 @@ def hermitian_eigen(a) -> HermitianEigen:
     NonSquareError when not square, NonFiniteError on a non-finite entry.
     """
     a = as_hermitian(a)
-    eigenvalues, eigenvectors = np.linalg.eigh((a + dagger(a)) / 2.0)
-    return HermitianEigen(eigenvalues=eigenvalues, eigenvectors=eigenvectors)
+    return np.linalg.eigh((a + dagger(a)) / 2.0)
 
 
-def psd_eigen(a, name: str = "matrix") -> HermitianEigen:
+def psd_eigen(a, name: str = "matrix"):
     """``hermitian_eigen`` of a positive semidefinite matrix or stack: raises
     NotPSDError when some eigenvalue lies below -PSD_FLOOR."""
     eig = hermitian_eigen(a)

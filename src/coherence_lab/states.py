@@ -97,7 +97,7 @@ class DensityMatrix:
         return self.matrix.shape[0]
 
     @cached_property
-    def eigen(self) -> numerics.HermitianEigen:
+    def eigen(self):
         return numerics.psd_eigen(self.matrix, "density matrix")
 
     def to_dict(self) -> dict:

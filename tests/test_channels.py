@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coherence_lab.channels import (
+    CPO_GRAM_RATIO,
     IncoherentUnitary,
     KrausChannel,
     apply_channel,
@@ -220,24 +221,34 @@ def sample_channel(rng, dim, n_kraus, kind):
 
 
 @settings(max_examples=80, deadline=None)
-@given(dim=st.integers(2, 8), tol=st.sampled_from([1e-8, 0.5]), seed=st.integers(0, 2**32 - 1))
-def test_is_cpo_agrees_with_choi_spectrum(dim, tol, seed):
+@given(dim=st.integers(2, 8), seed=st.integers(0, 2**32 - 1))
+def test_is_cpo_agrees_with_choi_spectrum(dim, seed):
     """Each channel's verdict is the Choi reference's, and Kraus sets stacked
     per Kraus count give each set its own channel's verdict."""
     rng = np.random.default_rng(seed)
     for n_kraus in range(1, 5):
         chans = [sample_channel(rng, dim, n_kraus, kind) for kind in ("random", "split", "coherent") * 2]
         for ch in chans:
-            assert is_cpo(ch, tol) == (is_incoherent_channel(ch) and choi_says_unitary(ch, tol))
-        assert all(is_cpo(ch, tol) for ch in chans[1::3])  # the split incoherent unitaries
+            assert is_cpo(ch) == (is_incoherent_channel(ch) and choi_says_unitary(ch, CPO_GRAM_RATIO))
+        assert all(is_cpo(ch) for ch in chans[1::3])  # the split incoherent unitaries
         assert not any(is_incoherent_channel(ch) for ch in chans[2::3])
         stack = np.stack([np.stack(ch.kraus) for ch in chans])
-        assert is_cpo(stack, tol).tolist() == [is_cpo(ch, tol) for ch in chans]
+        assert is_cpo(stack).tolist() == [is_cpo(ch) for ch in chans]
         assert is_incoherent_channel(stack).tolist() == [is_incoherent_channel(ch) for ch in chans]
-        assert not is_cpo(stack[2::3], tol).any()  # no set of this stack is incoherent
+        assert not is_cpo(stack[2::3]).any()  # no set of this stack is incoherent
         # a stack with leading axes gives a verdict per set in the same layout
-        assert is_cpo(stack.reshape(2, 3, *stack.shape[1:]), tol).tolist() == np.reshape(
-            [is_cpo(ch, tol) for ch in chans], (2, 3)).tolist()
+        assert is_cpo(stack.reshape(2, 3, *stack.shape[1:])).tolist() == np.reshape(
+            [is_cpo(ch) for ch in chans], (2, 3)).tolist()
+
+
+def test_is_cpo_tol_is_the_entry_tolerance():
+    # a swap with a 1e-6 stray entry, made exactly unitary: a CPO only at a loose entry tolerance
+    w, _, vh = np.linalg.svd(np.array([[1e-6, 1.0], [1.0, 0.0]]))
+    ch = KrausChannel((w @ vh,))
+    assert is_cpo(ch, 1e-3) and is_incoherent_channel(ch, 1e-3)
+    assert not is_cpo(ch) and not is_incoherent_channel(ch)
+    stack = np.stack([np.stack(ch.kraus)] * 2)
+    assert is_cpo(stack, 1e-3).tolist() == [True, True] and not is_cpo(stack).any()
 
 
 def test_random_incoherent_channel_properties():

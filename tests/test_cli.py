@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import coherence_lab
 from coherence_lab import cli
 from coherence_lab.channels import apply_channel, channel_from_dict, is_incoherent_channel
 from coherence_lab.harness import check_criterion, TrialConfig
@@ -242,6 +247,29 @@ def test_bad_env_var_seed_is_exit_2(capsys, monkeypatch, command, value):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "COHERENCE_LAB_SEED" in captured.err
+
+
+@pytest.mark.parametrize("tol", ["inf", "nan", "0", "-0.5", "abc"])
+@pytest.mark.parametrize("command", [
+    ["verify", "--measure", "skew", "--criterion", "C2", "--dim", "3", "--trials", "150", "--seed", "1"],
+    ["hunt", "--dim", "3", "--trials", "5"],
+    ["mcs", "--state", "x.json"],
+    ["check-channel", "--channel", "x.json"],
+])
+def test_bad_tol_is_exit_2(capsys, command, tol):
+    # inf used to silence every violation, and nan to pass every channel and state
+    assert cli.run(command + ["--tol", tol]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--tol" in captured.err
+
+
+def test_importing_the_cli_does_not_load_the_process_pool():
+    # the pool module is imported by --jobs runs that start workers, not by every invocation
+    env = {**os.environ, "PYTHONPATH": str(Path(coherence_lab.__file__).parents[1])}
+    code = "import sys, coherence_lab.cli; print('concurrent.futures.process' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 def test_verify_dim_1_is_exit_2(capsys):

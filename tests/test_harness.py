@@ -54,8 +54,9 @@ def small_cfg(dim=3, n=50, seed=0, **kw):
 def test_trial_config_validation():
     with pytest.raises(BadParamsError):
         TrialConfig(dim=3, n_trials=0)
-    with pytest.raises(BadParamsError):
-        TrialConfig(dim=3, n_trials=10, tol=0.0)
+    for tol in (0.0, -1e-8, float("inf"), float("nan")):
+        with pytest.raises(BadParamsError, match="tol"):
+            TrialConfig(dim=3, n_trials=10, tol=tol)
     with pytest.raises(BadDimError):
         TrialConfig(dim=1, n_trials=10)
 

@@ -342,9 +342,6 @@ def test_int_rand_qubit_closed_form():
     [
         {"restarts": -1},
         {"max_iterations": 0},
-        {"step_tol": 0.0},
-        {"step_tol": -1e-8},
-        {"step_tol": float("nan")},
         {"seed": -1},
     ],
 )
@@ -510,4 +507,4 @@ def test_measure_by_name_rejects_unknown():
     with pytest.raises(BadParamsError):
         measure_by_name("fidelity")
     with pytest.raises(BadParamsError):
-        measure_by_name("skew")  # needs observable or dim
+        measure_by_name("skew")  # needs a dim
