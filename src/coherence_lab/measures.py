@@ -30,6 +30,7 @@ floor inside logs.
 from __future__ import annotations
 
 import dataclasses
+import numbers
 from typing import Callable, Optional
 
 import numpy as np
@@ -88,6 +89,9 @@ class OptimizerConfig:
     seed: int = 0
 
     def __post_init__(self):
+        knobs = (self.restarts, self.max_iterations, self.seed)
+        if not all(isinstance(k, numbers.Integral) for k in knobs):
+            raise BadParamsError(f"restarts, max_iterations and seed must be integers: {self}")
         if self.restarts < 0 or self.max_iterations < 1 or self.seed < 0:
             raise BadParamsError(f"need restarts >= 0, max_iterations >= 1, seed >= 0: {self}")
 

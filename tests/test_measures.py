@@ -342,6 +342,9 @@ def test_int_rand_qubit_closed_form():
     [
         {"restarts": -1},
         {"max_iterations": 0},
+        {"restarts": float("nan")},
+        {"max_iterations": float("nan")},
+        {"seed": 1.5},
         {"seed": -1},
     ],
 )
