@@ -80,9 +80,9 @@ def default_observable(dim: int) -> DiagonalObservable:
 
 @dataclasses.dataclass(frozen=True)
 class OptimizerConfig:
-    """Knobs for the convex-roof estimator: restart count, passes per
-    refinement and restart seed.  The step floors are fixed (1e-3 for the
-    restarts, 1e-8 for the winner's polish)."""
+    """Knobs for the convex-roof estimator: restart count, passes per refinement
+    (a pass sweeps every round of row pairs that share no row) and restart seed.
+    The step floors are fixed (1e-3 for the restarts, 1e-8 for the winner's polish)."""
 
     restarts: int = 32
     max_iterations: int = 500
@@ -113,10 +113,8 @@ class Ensemble:
         object.__setattr__(self, "states", tuple(self.states))
 
     def reconstruction(self) -> np.ndarray:
-        acc = np.zeros((self.states[0].dim, self.states[0].dim), dtype=np.complex128)
-        for w, psi in zip(self.weights, self.states):
-            acc += w * np.outer(psi.amplitudes, psi.amplitudes.conj())
-        return acc
+        a = np.stack([psi.amplitudes for psi in self.states], axis=1) * np.sqrt(self.weights)
+        return a @ a.conj().T
 
 
 # ---------------------------------------------------------------------------
@@ -199,55 +197,64 @@ def _member_values(members: np.ndarray) -> np.ndarray:
     return p * np.log2(np.where(p > _LOG_FLOOR, p, 1.0)) - np.add.reduce(xlogx, axis=-1)
 
 
+def _round_robin(m: int) -> np.ndarray:
+    """Each row pair (i, j), i < j, of m rows once, in m - 1 + m % 2 rounds of m // 2
+    pairs sharing no row (the circle method: Brent & Luk, SIAM J. Sci. Stat. Comput. 6,
+    69 (1985)): for n = m + m % 2, round k pairs k with n - 1 (no row for odd m) and k ± a mod n - 1."""
+    n = m + m % 2
+    k, a = np.arange(n - 1)[:, None], np.arange(n // 2)
+    i, j = (k + a) % (n - 1), np.where(a > 0, (k - a) % (n - 1), n - 1)
+    return np.sort(np.stack((i, j), axis=-1), axis=-1)[:, n // 2 - m // 2 :]
+
+
 def _refine_mixer(ws: np.ndarray, b: np.ndarray, cfg: OptimizerConfig, floor: float):
     """Coordinate descent over row-pair rotations of a stack of isometries (R, m, r).
 
     Each isometry follows the trajectory it would follow alone: its own step,
     halved after three passes or a pass without gain, and its own exit below
-    ``floor``, after cfg.max_iterations passes or at _RANK_TOL.  A rotation
-    touches two rows, hence two ensemble members, so acceptance tests are
-    incremental.  Per row pair, the four trial rotations of every isometry
-    are scored in one array evaluation; after an accepted one, the phi = pi/2
-    trials still ahead are rescored.  Returns the isometries and their values.
-    """
-    n, m, _ = ws.shape
-    d = b.shape[0]
+    ``floor``, after cfg.max_iterations passes or at _RANK_TOL.  A pass sweeps
+    the rounds of ``_round_robin(m)``, whose pairs share no row and so move
+    together as they would in turn.  A rotation touches two rows, hence two
+    ensemble members, so acceptance tests are incremental: per round, the four
+    trial rotations of each (isometry, pair) entry still to score are scored
+    in one array evaluation, and after an accepted one the phi = pi/2 trials
+    still ahead are rescored.  Returns the isometries and their values."""
+    (n, m, _), d = ws.shape, b.shape[0]
     # row i of x[k] is member i of isometry k (d amplitudes) followed by row i
     # of the isometry itself: a rotation of the pair mixes both alike
     x = np.concatenate((ws @ b.T, ws), axis=2)
     values = _member_values(x[:, :, :d])
-    pairs = [(i, j) for i in range(m) for j in range(i + 1, m)]
-    rows = np.arange(n)
+    rounds = _round_robin(m)
     step = np.full(n, 0.5)
-    passes = np.zeros(n, dtype=int)
-    at_step = np.zeros(n, dtype=int)  # passes made at the current step
+    passes, at_step = np.zeros((2, n), dtype=int)  # at_step: passes made at the current step
     active = np.full(n, 0.5 >= floor)
     while active.any():
         t = step[:, None] * _TRIAL_SIGNS
         c = (1.0 - t * t) / (1.0 + t * t)
         s = 2.0 * t * _TRIAL_PHASES / (1.0 + t * t)
-        # (n, 4, 2, 2, 1): the Cayley rotation [[c, -s], [conj(s), c]] of each trial
-        rot = np.stack((np.stack((c, -s), -1), np.stack((s.conj(), c), -1)), -2)[..., None]
+        # (2, n, 4, 2, 1): the factors of x_i, then of x_j, in the Cayley rotation [[c, -s], [conj(s), c]]
+        rot = np.stack((np.stack((c, s.conj()), -1), np.stack((-s, c), -1)))[..., None]
         improving = np.zeros(n, dtype=bool)
-        for i, j in pairs:
-            base = values[:, i] + values[:, j]
-            # first trial still to score; 4 = none (inactive, or both members incoherent)
-            first = np.where(active & (base > 1e-14), 0, 4)
-            while np.count_nonzero(first < 4):
-                trial = np.add.reduce(rot * x[:, None, None, (i, j)], axis=3)  # (n, 4, 2, d + r)
+        for pairs in rounds:
+            # the (isometry, pair) entries to score: active, members not both incoherent
+            k, p = np.nonzero(active[:, None] & (values[:, pairs].sum(axis=2) > 1e-14))
+            first = 0  # the first trial still to score
+            while k.size:
+                at = k[:, None], pairs[p]  # (e, 2): each entry's isometry and its two rows
+                xp = x[at][:, :, None, None]  # (e, 2, 1, 1, d + r)
+                rot_i, rot_j = rot[:, k]
+                trial = rot_i * xp[:, 0] + rot_j * xp[:, 1]  # (e, 4, 2, d + r)
                 trial_values = _member_values(trial[..., :d])
-                gain = base[:, None] - trial_values[..., 0] - trial_values[..., 1]
-                ok = (gain > 1e-14) & (np.arange(4) >= first[:, None])
+                ok = values[at].sum(axis=1)[:, None] - trial_values[..., 0] - trial_values[..., 1] > 1e-14
+                ok[:, :first] = False
                 f = ok.argmax(axis=1)  # the first accepted trial, where ok has one
-                hit = ok[rows, f]
+                hit = ok.any(axis=1)
+                moved = at[0][hit], at[1][hit]
+                x[moved], values[moved] = trial[hit, f[hit]], trial_values[hit, f[hit]]
+                improving[k[hit]] = True
                 # R(-t) = R(t)^-1, so the accepted phase's other sign would only undo it
-                first = np.where(hit & (f < 2), 2, 4)
-                if np.count_nonzero(hit):
-                    k, f = rows[hit], f[hit]
-                    x[k[:, None], (i, j)] = trial[k, f]
-                    values[k[:, None], (i, j)] = trial_values[k, f]
-                    base = values[:, i] + values[:, j]
-                    improving |= hit
+                again = hit & (f < 2)
+                k, p, first = k[again], p[again], 2
         passes += active
         at_step += active
         done = values.sum(axis=1) <= _RANK_TOL
@@ -258,30 +265,29 @@ def _refine_mixer(ws: np.ndarray, b: np.ndarray, cfg: OptimizerConfig, floor: fl
     return x[:, :, d:], values.sum(axis=1)
 
 
-def convex_roof_ensemble(
-    rho: DensityMatrix, opt: Optional[OptimizerConfig] = None
-) -> tuple[float, Ensemble]:
+def convex_roof_ensemble(rho: DensityMatrix, opt: Optional[OptimizerConfig] = None) -> tuple[float, Ensemble]:
     """Best ensemble found for the intrinsic-randomness minimization.
 
     Ensembles are the eigendecomposition mixed through an m x r isometry,
     m = r^2 for rank r, which suffices for the roof (Uhlmann, Entropy 12,
     1799 (2010)); the eigenensemble is always among the candidates, so the
     result never exceeds the eigendecomposition average.  The value is an
-    upper bound on the exact roof.  Random restarts are refined as one stack.
+    upper bound on the exact roof.  Random restarts are refined as one stack;
+    each refinement pass sweeps rounds of row pairs that share no row.
     """
-    return _convex_roof(rho.matrix, opt)
+    value, members = _convex_roof(rho.matrix, opt)
+    probs = (np.abs(members) ** 2).sum(axis=0)
+    return value, Ensemble(probs / probs.sum(), tuple(PureState(v / np.sqrt(p)) for v, p in zip(members.T, probs)))
 
 
-def _convex_roof(m: np.ndarray, opt: Optional[OptimizerConfig]) -> tuple[float, Ensemble]:
-    """``convex_roof_ensemble`` of a density matrix that ``density_matrices`` validated."""
+def _convex_roof(m: np.ndarray, opt: Optional[OptimizerConfig]) -> tuple[float, np.ndarray]:
+    """``convex_roof_ensemble``'s value and members (d, k), m = members members†, on a validated m."""
     opt = opt or OptimizerConfig()
     eig = numerics.psd_eigen(m, "density matrix")
     keep = eig.eigenvalues > _RANK_TOL
-    q = eig.eigenvalues[keep]
-    q = q / q.sum()
-    phi = eig.eigenvectors[:, keep]
+    q = eig.eigenvalues[keep] / eig.eigenvalues[keep].sum()
     r = q.size
-    b = phi * np.sqrt(q)  # d x r, rho = b b†
+    b = eig.eigenvectors[:, keep] * np.sqrt(q)  # d x r, rho = b b†
 
     (best_w,), (best_val,) = _refine_mixer(np.eye(r, dtype=np.complex128)[None], b, opt, _COARSE_STEP)
 
@@ -289,10 +295,8 @@ def _convex_roof(m: np.ndarray, opt: Optional[OptimizerConfig]) -> tuple[float, 
         # per restart: real part, then imaginary part, of an m x r Gaussian, m = r^2
         g = np.random.default_rng(opt.seed).standard_normal((opt.restarts, 2, r * r, r))
         ws, values = _refine_mixer(np.linalg.qr(g[:, 0] + 1j * g[:, 1])[0], b, opt, _COARSE_STEP)
-        for w, val in zip(ws, values):
-            if best_val <= _RANK_TOL:
-                break
-            if val < best_val:
+        for w, val in zip(ws, values):  # the first restart at or below _RANK_TOL ends the search
+            if best_val > _RANK_TOL and val < best_val:
                 best_val, best_w = val, w
 
     if best_val > _RANK_TOL:  # polish the winner down to the fine step floor
@@ -301,15 +305,11 @@ def _convex_roof(m: np.ndarray, opt: Optional[OptimizerConfig]) -> tuple[float, 
     members = b @ best_w.T
     probs = (np.abs(members) ** 2).sum(axis=0)
     kept = probs > _RANK_TOL
-    weights = probs[kept] / probs[kept].sum()
-    pure_states = tuple(
-        PureState(members[:, i] / np.sqrt(probs[i])) for i in np.nonzero(kept)[0]
-    )
-    ensemble = Ensemble(weights=weights, states=pure_states)
-    defect = numerics.frobenius(ensemble.reconstruction() - m)
+    members = members[:, kept] / np.sqrt(probs[kept].sum())
+    defect = numerics.frobenius(members @ members.conj().T - m)
     if defect > 1e-9:
         raise OptimizerFailedError(f"ensemble reconstructs rho to {defect:.3e} > 1e-9")
-    return float(best_val), ensemble
+    return float(best_val), members
 
 
 def c_int_rand(rho: DensityMatrix | np.ndarray, opt: Optional[OptimizerConfig] = None):
