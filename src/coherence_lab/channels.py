@@ -303,7 +303,7 @@ def _monomials(rows: np.ndarray, moduli: np.ndarray, phases: np.ndarray) -> np.n
 def channel_from_dict(payload: dict) -> KrausChannel:
     """Parse ``{"dim": d, "kraus": [{"re": [...], "im": [...]}, ...]}`` (row-major)."""
     try:
-        dim = numerics.file_dim(payload["dim"])
+        dim = numerics.checked_dim(payload["dim"])
         ops = []
         for entry in payload["kraus"]:
             re = np.asarray(entry["re"], dtype=np.float64)

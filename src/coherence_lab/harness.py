@@ -5,17 +5,16 @@ CriterionReport.  Trial randomness derives from (seed, trial index), so a
 report is a pure function of its TrialConfig: reruns and parallel runs
 produce bit-identical results.
 
-Trials run in blocks of at most TRIAL_BLOCK.  Each trial only draws its
-inputs as arrays from its own stream default_rng([seed, trial]), in the
-order it would draw them alone; the block seeds all its streams at once.
-It builds the draws into states and Kraus sets as stacks, one per rank or
-Kraus count, validates each stack once, maps it as a stack and evaluates
-the measure once per stack, making one spectral call where the trials
-alone would make one each; the stacked kernels round every row as they
-round one matrix; ``is_cpo`` decides a Kraus stack in one call, at its own
-fixed Gram ratio, whatever ``tol``.  Objects are built for the witness only.
-THEOREM3 draws one channel per trial and measures the probe panel of each
-Kraus stack at once; a trial whose channel is a CPO is inconclusive.
+Trials run in blocks of as many as fit STACK_BUDGET (``_block_rows``).  Each
+trial only draws its inputs as arrays from its own stream
+default_rng([seed, trial]), in the order it would draw them alone; the block
+seeds all its streams at once, builds the draws into stacks (one per rank or
+Kraus count), and validates, maps and measures each stack once; the stacked
+kernels round every row as they round one matrix.  ``is_cpo`` decides a
+Kraus stack in one call, at its fixed Gram ratio, whatever ``tol``.  Objects
+are built for the witness only.  THEOREM3 draws one channel per trial and
+measures the probe panel of each Kraus stack at once; a trial whose channel
+is a CPO is inconclusive.
 
 Criteria: the keys of ``CRITERIA``, each run by ``check_criterion``
 -------------------------------------------------------------------
@@ -65,14 +64,12 @@ from .channels import (
 from .errors import BadDimError, BadParamsError, BadPayloadError
 from .measures import Measure, default_observable, measure_by_name
 from .mcs import mcs_deviation
-from .numerics import MAX_DIM, dagger
+from .numerics import checked_dim, dagger, is_integer
 from .states import DensityMatrix, PureState, dephase, from_pure
 
 # C1 thresholds: zero level on incoherent inputs, and the floor a
 # measure must clear once the off-diagonal mass is macroscopic.
-C1_ZERO_TOL = 1e-9
-C1_VALUE_FLOOR = 1e-6
-C1_MASS_FLOOR = 1e-3
+C1_ZERO_TOL, C1_VALUE_FLOOR, C1_MASS_FLOOR = 1e-9, 1e-6, 1e-3
 
 # CPO sanity arm of THEOREM3: preservation must hold this tightly.
 CPO_PRESERVE_TOL = 1e-9
@@ -80,8 +77,9 @@ CPO_PRESERVE_TOL = 1e-9
 # Probe panel size for THEOREM3.
 PROBE_COUNT = 20
 
-# Trials evaluated as one stack: bounds a block's memory whatever the trial count.
-TRIAL_BLOCK = 256
+# Entries of a block's widest stacked temporary: every kernel takes as many
+# rows per block as fit, worked out from its shape by ``_block_rows``.
+STACK_BUDGET = 2**17
 
 # SeedSequence's hash constants (NumPy NEP 19, after O'Neill's seed_seq_fe).
 _INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
@@ -104,19 +102,19 @@ class TrialConfig:
     n_kraus_range: tuple = (1, 4)
 
     def __post_init__(self):
-        if not 2 <= self.dim <= MAX_DIM:
-            raise BadDimError(f"dim must be >= 2 and <= {MAX_DIM}, got {self.dim}")
-        if not 1 <= self.n_trials <= 2**32:  # each trial index is one 32-bit entropy word
-            raise BadParamsError(f"n_trials must be in [1, 2**32], got {self.n_trials}")
-        if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
+        object.__setattr__(self, "dim", checked_dim(self.dim))
+        if not (is_integer(self.n_trials) and 1 <= self.n_trials <= 2**32):  # one 32-bit entropy word each
+            raise BadParamsError(f"n_trials must be an integer in [1, 2**32], got {self.n_trials!r}")
+        if not (is_integer(self.seed) and self.seed >= 0):
             raise BadParamsError(f"seed must be an integer >= 0, got {self.seed!r}")
-        if not 0 < self.tol < np.inf:
+        if not ((isinstance(self.tol, (float, np.floating)) or is_integer(self.tol)) and 0 < self.tol < np.inf):
             raise BadParamsError(f"tol must be finite and positive, got {self.tol!r}")
-        lo, hi = self.n_kraus_range
-        if lo < 1 or hi < lo:
-            raise BadParamsError(f"bad n_kraus_range {self.n_kraus_range}")
-        object.__setattr__(self, "n_kraus_range", (int(lo), int(hi)))
-        object.__setattr__(self, "seed", int(self.seed))  # a numpy integer would not serialize
+        lo_hi = tuple(self.n_kraus_range) if np.ndim(self.n_kraus_range) == 1 else ()
+        if not (len(lo_hi) == 2 and all(map(is_integer, lo_hi)) and 1 <= lo_hi[0] <= lo_hi[1]):
+            raise BadParamsError(f"n_kraus_range must be integers 1 <= lo <= hi, got {self.n_kraus_range!r}")
+        object.__setattr__(self, "n_kraus_range", tuple(map(int, lo_hi)))
+        for knob in ("n_trials", "seed"):  # a numpy integer would not serialize
+            object.__setattr__(self, knob, int(getattr(self, knob)))
 
 
 def default_tol(measure_name: str) -> float:
@@ -135,13 +133,10 @@ class ViolationWitness:
     aux: Optional[dict] = None
 
     def to_dict(self) -> dict:
-        return {
-            "state": self.state.to_dict(),
-            "channel": None if self.channel is None else self.channel.to_dict(),
-            "value_before": self.value_before,
-            "value_after": self.value_after,
-            "aux": self.aux,
-        }
+        out = {f.name: getattr(self, f.name) for f in dataclasses.fields(self)}  # in field order
+        out["state"] = self.state.to_dict()
+        out["channel"] = None if self.channel is None else self.channel.to_dict()
+        return out
 
 
 def witness_from_dict(payload: dict) -> ViolationWitness:
@@ -185,18 +180,10 @@ class CriterionReport:
         return self.violations == 0
 
     def to_dict(self) -> dict:
-        out = {
-            "criterion": self.criterion,
-            "measure": self.measure,
-            "dim": self.dim,
-            "trials": self.trials,
-            "violations": self.violations,
-            "worst_violation": self.worst_violation,
-            "witness": None if self.witness is None else self.witness.to_dict(),
-            "seed": self.seed,
-        }
-        if self.max_value is not None:
-            out["max_value"] = self.max_value
+        out = {f.name: getattr(self, f.name) for f in dataclasses.fields(self)}  # in field order
+        out["witness"] = None if self.witness is None else self.witness.to_dict()
+        if self.max_value is None:
+            del out["max_value"]
         return out
 
 
@@ -244,12 +231,8 @@ def _block(slack, violation, make_witness, counted=None) -> _Block:
     """Pack a block's rows; ``make_witness(i)`` builds row i's witness, and is
     called for the one row that ``_Block.witness`` keeps."""
     rows = np.flatnonzero(violation)
-    return _Block(
-        slack=slack,
-        counted=np.ones(len(slack), dtype=bool) if counted is None else counted,
-        violation=violation,
-        witness=make_witness(rows[np.argmin(slack[rows])]) if rows.size else None,
-    )
+    witness = make_witness(rows[np.argmin(slack[rows])]) if rows.size else None
+    return _Block(slack, np.ones(len(slack), dtype=bool) if counted is None else counted, violation, witness)
 
 
 @lru_cache(maxsize=1)
@@ -496,9 +479,22 @@ def _theorem3_block(measure_name: str, cfg: TrialConfig, trials: range) -> _Bloc
     return _block(slack, counted & (masquerade | (cpo_dev > CPO_PRESERVE_TOL)), witness, counted)
 
 
+def _block_rows(criterion: str, cfg: TrialConfig) -> int:
+    """Rows per block of a criterion's kernel: as many as keep its widest stacked temporary within
+    STACK_BUDGET entries, and at least one.  Per row that is d(d-1) points of d in a C5 ascent pass;
+    PROBE_COUNT d x d outputs of a THEOREM3 channel (a trial's two have different Kraus counts, so
+    never share a stack); n_kraus_range[1] d x d operators for C2, C3 and LEMMA2; one d x d state
+    otherwise; but at least a trial's stream and draws, about 1 KiB of objects: 64 entries."""
+    d, n = cfg.dim, cfg.n_kraus_range[1]
+    per_row = {"C5": d - 1, "THEOREM3": max(PROBE_COUNT, n), "C2": n, "C3": n, "LEMMA2": n}
+    entries = per_row.get(criterion, 1) * d * d
+    return max(1, STACK_BUDGET // (entries if criterion == "C5" else max(entries, 64)))
+
+
 def _run_chunk(criterion: str, measure_name: str, cfg: TrialConfig, lo: int, hi: int):
     fn = CRITERIA[criterion].block  # looked up by name: workers get the name, not a closure
-    return [fn(measure_name, cfg, range(a, min(a + TRIAL_BLOCK, hi))) for a in range(lo, hi, TRIAL_BLOCK)]
+    rows = _block_rows(criterion, cfg)
+    return [fn(measure_name, cfg, range(a, min(a + rows, hi))) for a in range(lo, hi, rows)]
 
 
 def _pool_size(jobs: int, cpus: int, n_chunks: int) -> int:
@@ -526,11 +522,10 @@ def _run_trials(criterion: str, measure_name: str, cfg: TrialConfig, jobs: int):
 # C5: maximizer search
 # ---------------------------------------------------------------------------
 
-C5_NEAR_MAX_WINDOW = 1e-6
-C5_MCS_TOL = 1e-3
-# Restarts ascended together, and entries one ascent iteration scores past a single
-# pass (restarts x passes x moves x d): bound the kernel's memory whatever the restart count.
-C5_BLOCK, C5_CHAIN_BUDGET = 64, 2048
+C5_NEAR_MAX_WINDOW, C5_MCS_TOL = 1e-6, 1e-3
+# Entries one ascent iteration scores past a single pass (restarts x passes x moves x d):
+# passes past a restart's next move are scored for nothing, so this bounds wasted work.
+C5_CHAIN_BUDGET = 2048
 
 
 def _ascend(measure: Measure, w: np.ndarray, floor=1e-9, max_rounds=50):
@@ -549,7 +544,7 @@ def _ascend(measure: Measure, w: np.ndarray, floor=1e-9, max_rounds=50):
     every step is 0.25 * 2**-j, exact, so the chain's first gain is the move
     the passes would reach one at a time.  The chain holds as many passes as
     ``C5_CHAIN_BUDGET`` allows for the stack's shape, from 1 (the current
-    pass alone) to 30.
+    pass alone) to 30; that budget bounds wasted scoring, not memory.
     """
     w = np.array(w, dtype=np.float64)
     n, d = w.shape
@@ -602,7 +597,8 @@ def _c5_block(measure: str, cfg: TrialConfig) -> tuple[_Block, float]:
     The search runs on the probability simplex through ``evaluate_pure``,
     one ascent per restart from a Dirichlet-random point, and each point
     found stands for the real-amplitude state ``sqrt(p)``.  The restarts
-    ascend together, C5_BLOCK at a time, each on its own trajectory.
+    ascend together, each on its own trajectory, in blocks whose ascent
+    pass, d(d-1) points of d per restart, fits STACK_BUDGET.
     Near-maximal means within 1e-6 of the best value; membership is tested
     at tolerance 1e-3.  Returns the block of near-maximal states and the best
     value.  A FAIL report (violations > 0) carries a witness state
@@ -614,7 +610,8 @@ def _c5_block(measure: str, cfg: TrialConfig) -> tuple[_Block, float]:
     m = measure_by_name(measure, dim=cfg.dim)
     rng = np.random.default_rng([cfg.seed, 424243])
     starts = rng.dirichlet(np.ones(cfg.dim), size=cfg.n_trials)
-    ascents = [_ascend(m, starts[b : b + C5_BLOCK]) for b in range(0, len(starts), C5_BLOCK)]
+    rows = _block_rows("C5", cfg)
+    ascents = [_ascend(m, starts[b : b + rows]) for b in range(0, len(starts), rows)]
     vals = np.concatenate([val for _, val in ascents])
     best_val = float(vals.max())
     near = np.flatnonzero(vals >= best_val - C5_NEAR_MAX_WINDOW)
@@ -733,8 +730,8 @@ def check_criterion(
     label = entry.measure or measure
     if label is None:
         raise BadParamsError(f"criterion {criterion} needs a measure")
-    if jobs < 1:
-        raise BadParamsError(f"jobs must be >= 1, got {jobs}")
+    if not (is_integer(jobs) and jobs >= 1):
+        raise BadParamsError(f"jobs must be an integer >= 1, got {jobs!r}")
     if entry.block is None:
         block, max_value = _c5_block(label, cfg)
         blocks = [block]

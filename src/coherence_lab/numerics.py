@@ -19,18 +19,22 @@ from .errors import (
     NotPSDError,
 )
 
-# Largest dimension a state or channel file may declare.
+# Largest dimension a state or channel file, or a harness run, may declare.
 MAX_DIM = 16
 
 # Eigenvalues in [-PSD_FLOOR, 0) are clamped to zero; anything lower is an error.
 PSD_FLOOR = 1e-9
 
 
-def file_dim(value) -> int:
-    """The ``dim`` of a state or channel file: an integer (not a bool) in 2..MAX_DIM."""
-    integer = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-    if not (integer and 2 <= value <= MAX_DIM):
-        raise BadDimError(f"dim must be an integer in 2..{MAX_DIM}, got {value!r}")
+def is_integer(value) -> bool:
+    """An int or numpy integer, not a bool: what a count, a dimension or a seed must be."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def checked_dim(value) -> int:
+    """The ``dim`` of a state or channel file or a harness run, as an int: an integer in 2..MAX_DIM."""
+    if not (is_integer(value) and 2 <= value <= MAX_DIM):
+        raise BadDimError(f"dim must be >= 2 and <= {MAX_DIM}, got {value!r} (an integer)")
     return int(value)
 
 

@@ -216,7 +216,7 @@ def state_from_dict(payload: dict):
     density matrices flattened row-major.  Parsing re-runs full validation.
     """
     try:
-        dim = numerics.file_dim(payload["dim"])
+        dim = numerics.checked_dim(payload["dim"])
         kind = payload["kind"]
         re = np.asarray(payload["re"], dtype=np.float64).reshape(-1)
         im = np.asarray(payload["im"], dtype=np.float64).reshape(-1)

@@ -118,9 +118,11 @@ def test_pins_cover_every_case():
     ids=lambda case: pin_key(*case),
 )
 def test_reports_do_not_depend_on_block_size(case, monkeypatch):
+    # one block at the default budget, one trial a block at 1; at these shapes 500
+    # entries give blocks of 7 trials, or of 2 to 6 for THEOREM3 (20 d x d per row)
     reports = []
-    for block in (256, 3, 1):
-        monkeypatch.setattr(harness, "TRIAL_BLOCK", block)
+    for budget in (harness.STACK_BUDGET, 500, 1):
+        monkeypatch.setattr(harness, "STACK_BUDGET", budget)
         reports.append(json.dumps(run_case(*case).to_dict()))
     assert reports[0] == reports[1] == reports[2]
 

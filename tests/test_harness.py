@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -51,6 +52,16 @@ def small_cfg(dim=3, n=50, seed=0, **kw):
     return TrialConfig(dim=dim, n_trials=n, seed=seed, **kw)
 
 
+def _row_entries(criterion, cfg):
+    """The widest stacked temporary of one row of a criterion's kernel, in array
+    entries, as the stack budget's rule states it."""
+    d, n = cfg.dim, cfg.n_kraus_range[1]
+    if criterion == "C5":
+        return d * (d - 1) * d  # the points of one ascent pass
+    operators = {"THEOREM3": max(harness.PROBE_COUNT, n), "C2": n, "C3": n, "LEMMA2": n}.get(criterion, 1)
+    return max(operators * d * d, 64)  # a trial's stream and draws take about 64 entries
+
+
 def test_trial_config_validation():
     with pytest.raises(BadParamsError):
         TrialConfig(dim=3, n_trials=0)
@@ -59,6 +70,15 @@ def test_trial_config_validation():
             TrialConfig(dim=3, n_trials=10, tol=tol)
     with pytest.raises(BadDimError):
         TrialConfig(dim=1, n_trials=10)
+    # a float or a bool is no dim, trial count, tolerance or Kraus count, and lo needs a hi
+    for kw in ({"dim": 3.0}, {"dim": True}, {"n_trials": 10.5}, {"n_trials": True}, {"tol": True},
+               {"n_kraus_range": (1.5, 3)}, {"n_kraus_range": (1,)}, {"n_kraus_range": (True, 3)},
+               {"n_kraus_range": 4}):
+        with pytest.raises((BadDimError, BadParamsError)):
+            TrialConfig(**{"dim": 3, "n_trials": 10, **kw})
+    stored = TrialConfig(dim=np.int64(3), n_trials=np.int64(10), n_kraus_range=np.array([2, 4]))
+    assert (stored.dim, stored.n_trials, stored.n_kraus_range) == (3, 10, (2, 4))
+    assert {type(x) for x in (stored.dim, stored.n_trials, *stored.n_kraus_range)} == {int}
 
 
 def test_trial_config_caps_dim_at_16():
@@ -285,9 +305,9 @@ def _per_trial_slacks(criterion, measure_name, cfg):
 @pytest.mark.parametrize("criterion", ["C1", "C2", "C3", "C4", "LEMMA1"])
 @pytest.mark.parametrize("measure", ["l1", "rel_ent", "skew", "trivial"])
 def test_blocks_match_the_per_trial_reference(criterion, measure, monkeypatch):
-    monkeypatch.setattr(harness, "TRIAL_BLOCK", 7)
     for dim in (2, 4, 8):
         cfg = small_cfg(dim=dim, n=30, seed=13, n_kraus_range=(2, 4))
+        monkeypatch.setattr(harness, "STACK_BUDGET", 7 * _row_entries(criterion, cfg))  # 7 trials a block
         report = check_criterion(criterion, measure, cfg, jobs=1)
         slacks = _per_trial_slacks(criterion, measure, cfg)
         violating = slacks < (0.0 if criterion in ("C1", "LEMMA1") else -cfg.tol)
@@ -338,8 +358,8 @@ def _theorem3_trial(rng, cfg, probes):
 def test_channel_blocks_match_the_per_trial_reference(criterion, loose_tol, dim, seed, loose, monkeypatch):
     """LEMMA2's and THEOREM3's blocks give, bit for bit, the slack and the
     counted flag of each trial evaluated alone through the public API."""
-    monkeypatch.setattr(harness, "TRIAL_BLOCK", 7)
     cfg = small_cfg(dim=dim, n=40, seed=seed, **({"tol": loose_tol} if loose else {}))
+    monkeypatch.setattr(harness, "STACK_BUDGET", 7 * _row_entries(criterion, cfg))  # 7 trials a block
     blocks = harness._run_trials(criterion, harness.CRITERIA[criterion].measure, cfg, jobs=1)
     probes = _probe_panel(dim, seed, harness.PROBE_COUNT)
     ref = [
@@ -362,7 +382,8 @@ def test_cpo_verdicts_do_not_depend_on_tol(dim, seed, monkeypatch):
     """Being a CPO is a property of the channel: the violation tolerance does
     not decide which THEOREM3 trials are inconclusive, nor which LEMMA2
     channels acting on a maximally coherent input (even trials) are exempt."""
-    monkeypatch.setattr(harness, "TRIAL_BLOCK", 7)
+    # 7 THEOREM3 trials a block, and 8 to 35 of LEMMA2's
+    monkeypatch.setattr(harness, "STACK_BUDGET", 7 * _row_entries("THEOREM3", small_cfg(dim=dim)))
     theorem3 = [_counted("THEOREM3", small_cfg(dim=dim, n=40, seed=seed, tol=tol)) for tol in (1e-8, 0.5, 0.9)]
     assert _same_bits(theorem3[0], theorem3[1]) and _same_bits(theorem3[0], theorem3[2])
     lemma2 = [_counted("LEMMA2", small_cfg(dim=dim, n=40, seed=seed, tol=tol))[::2] for tol in (1e-8, 0.5)]
@@ -376,7 +397,7 @@ def test_pool_size_is_capped_by_cpus_and_chunks():
     assert _pool_size(jobs=10**6, cpus=64, n_chunks=3) == 3
 
 
-@pytest.mark.parametrize("jobs", [0, -3])
+@pytest.mark.parametrize("jobs", [0, -3, 1.5, 2.0, True, "2"])
 def test_nonpositive_jobs_rejected(jobs):
     with pytest.raises(BadParamsError):
         check_criterion("C2", "l1", small_cfg(n=5), jobs=jobs)
@@ -673,9 +694,11 @@ def test_ascent_stack_matches_one_at_a_time(name, dim, kw):
 @pytest.mark.parametrize("kw", ASCENT_KWARGS[:2])
 @pytest.mark.parametrize("dim", [5, 8])
 @pytest.mark.parametrize("name", MEASURE_NAMES)
-def test_ascent_of_a_full_block_matches_one_at_a_time(name, dim, kw):
+def test_ascent_of_a_full_block_matches_one_at_a_time(name, dim, kw, monkeypatch):
     m = measure_by_name(name, dim=dim)
-    starts = _ascent_starts(dim, harness.C5_BLOCK)
+    cfg = TrialConfig(dim=dim, n_trials=64)
+    monkeypatch.setattr(harness, "STACK_BUDGET", 64 * _row_entries("C5", cfg))  # a full block of 64 restarts
+    starts = _ascent_starts(dim, harness._block_rows("C5", cfg))
     (ws, vals), depths = _ascend_seen(m, starts, **kw)
     assert depths == {1}  # the block scores one pass at a time, each row alone a chain of passes
     for i, (start, w, val) in enumerate(zip(starts, ws, vals)):
@@ -710,10 +733,54 @@ def test_ascent_does_not_depend_on_chain_depth(name, dim, kw, monkeypatch):
 def test_c5_does_not_depend_on_block_size(monkeypatch):
     cfg = TrialConfig(dim=3, n_trials=10, seed=3)
     reports = []
-    for block in (64, 3, 1):
-        monkeypatch.setattr(harness, "C5_BLOCK", block)
+    for budget in (harness.STACK_BUDGET, 3 * _row_entries("C5", cfg), 1):  # blocks of 10, 3 and 1 restarts
+        monkeypatch.setattr(harness, "STACK_BUDGET", budget)
         reports.append(json.dumps(check_criterion("C5", "skew", cfg).to_dict()))
     assert reports[0] == reports[1] == reports[2]
+
+
+@pytest.mark.parametrize("criterion", list(harness.CRITERIA))
+def test_blocks_hold_as_many_rows_as_fit_the_stack_budget(criterion):
+    for dim in range(2, 17):
+        for kraus in [(1, 4), (2, 40), (1, 1000)]:
+            cfg = TrialConfig(dim=dim, n_trials=1, n_kraus_range=kraus)
+            rows, entries = harness._block_rows(criterion, cfg), _row_entries(criterion, cfg)
+            assert rows >= 1 and (rows == 1 or rows * entries <= harness.STACK_BUDGET)
+            assert (rows + 1) * entries > harness.STACK_BUDGET
+
+
+def test_benchmark_shapes_fit_one_block():
+    """The benchmark's commands run at most 150 trials of d <= 8, 6 of THEOREM3
+    at d = 3, 4 and 8 C5 restarts at d <= 4: each of them, and the default 64
+    restarts, in one block, as when blocks held a fixed 256 trials or 64 restarts."""
+    for dim in range(2, 9):
+        for criterion in ["C1", "C2", "C3", "C4", "LEMMA1", "LEMMA2"]:
+            assert harness._block_rows(criterion, small_cfg(dim=dim)) >= 150
+    assert min(harness._block_rows("THEOREM3", small_cfg(dim=dim)) for dim in (3, 4)) >= 6
+    assert min(harness._block_rows("C5", small_cfg(dim=dim)) for dim in (2, 3, 4)) >= 64
+
+
+@pytest.mark.parametrize("dim", [2, 16])
+@pytest.mark.parametrize("criterion, measure", [
+    ("C1", "skew"), ("C2", "l1"), ("C3", "skew"), ("C4", "rel_ent"), ("C5", "rel_ent"),
+    ("LEMMA1", "l1"), ("LEMMA2", None), ("THEOREM3", None),
+])
+def test_a_full_block_stays_within_a_few_budgets(criterion, measure, dim):
+    """The budget bounds each temporary, so a block's traced peak, all its live
+    arrays and per-trial objects together, stays within a few budgets of
+    complex entries: 1.3 to 6.1 at these shapes, against a bound of 12."""
+    rows = harness._block_rows(criterion, small_cfg(dim=dim))
+    cfg = small_cfg(dim=dim, n=rows)
+    tracemalloc.start()
+    try:
+        if criterion == "C5":
+            harness._c5_block(measure, cfg)
+        else:
+            harness.CRITERIA[criterion].block(measure, cfg, range(rows))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 12 * 16 * harness.STACK_BUDGET
 
 
 def test_c5_rejects_bad_dim():

@@ -231,19 +231,24 @@ def test_convex_roof_beats_eigenbasis_when_phases_help():
 ROOF_PINS = {2: [95, 2, 0], 3: [95, 3, 1], 4: [95, 4, 1]}
 
 
+TRAJECTORY_PINS = [
+    (2, {}, 0.43459260971898417),
+    (2, {"restarts": 0}, 0.43459260971898417),
+    (2, {"max_iterations": 1}, 0.4557604265761247),
+    (3, {}, 0.5873360561418296),
+    (3, {"restarts": 0}, 0.5873360561418296),
+    (3, {"max_iterations": 1}, 0.6163685541549756),
+    (4, {}, 1.3305417383757168),
+    (4, {"restarts": 0}, 1.338227861070928),
+    (4, {"max_iterations": 1}, 1.3739602098637977),
+]
+
+
+# ids name the case, not the pinned value, so that re-deriving a pin keeps its id
 @pytest.mark.parametrize(
     "dim, opt_kwargs, expected",
-    [
-        (2, {}, 0.43459260971898417),
-        (2, {"restarts": 0}, 0.43459260971898417),
-        (2, {"max_iterations": 1}, 0.4557604265761247),
-        (3, {}, 0.5873360561418296),
-        (3, {"restarts": 0}, 0.5873360561418296),
-        (3, {"max_iterations": 1}, 0.6163685541549756),
-        (4, {}, 1.3305417383757168),
-        (4, {"restarts": 0}, 1.338227861070928),
-        (4, {"max_iterations": 1}, 1.3739602098637977),
-    ],
+    TRAJECTORY_PINS,
+    ids=[f"d{d}-" + ("-".join(f"{k}{v}" for k, v in kw.items()) or "default") for d, kw, _ in TRAJECTORY_PINS],
 )
 def test_int_rand_trajectory_pinned(dim, opt_kwargs, expected):
     rho = random_density(dim, dim, ROOF_PINS[dim])
@@ -396,6 +401,7 @@ def test_convex_roof_ensemble_on_pure_state_is_rel_ent(dim):
         {"max_iterations": float("nan")},
         {"seed": 1.5},
         {"seed": -1},
+        {"restarts": True},
     ],
 )
 def test_optimizer_config_rejects_bad_values(kwargs):
