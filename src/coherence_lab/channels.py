@@ -191,13 +191,15 @@ class IncoherentUnitary:
     phases: tuple
 
     def __post_init__(self):
+        if not all(map(numerics.is_integer, self.perm)):
+            raise BadParamsError(f"perm entries must be integers, got {tuple(self.perm)!r}")
         perm = tuple(int(p) for p in self.perm)
         d = len(perm)
         if sorted(perm) != list(range(d)):
             raise BadParamsError(f"perm {perm} is not a permutation of 0..{d - 1}")
+        if len(self.phases) != d or not np.isfinite(self.phases).all():
+            raise BadParamsError("need one finite phase per basis label")
         phases = tuple(float(np.mod(t, _TWO_PI)) for t in self.phases)
-        if len(phases) != d:
-            raise BadParamsError("need one phase per basis label")
         object.__setattr__(self, "perm", perm)
         object.__setattr__(self, "phases", phases)
 
@@ -255,17 +257,8 @@ def random_incoherent_unitary(dim: int, seed) -> IncoherentUnitary:
     """Uniformly random relabeling with uniform phases."""
     if dim < 2:
         raise BadParamsError("dim must be >= 2")
-    return _unitary(_draw_unitary(np.random.default_rng(seed), dim))
-
-
-def _draw_unitary(rng: np.random.Generator, dim: int) -> tuple:
-    """The ``_monomials`` arguments (1, dim) of ``random_incoherent_unitary``, drawn from rng."""
-    return rng.permutation(dim)[None], np.ones((1, dim)), rng.uniform(0.0, _TWO_PI, (1, dim))
-
-
-def _unitary(draw) -> IncoherentUnitary:
-    """The relabeling of a ``_draw_unitary`` draw, which keeps its phases, drawn in [0, 2 pi), as they are."""
-    return IncoherentUnitary(draw[0][0], draw[2][0])
+    perms, _, phases = _draw_monomials([np.random.default_rng(seed)], dim, [1], relabel=True)
+    return IncoherentUnitary(perms[0, 0], phases[0, 0])
 
 
 def random_incoherent_channel(dim: int, n_kraus: int, seed) -> KrausChannel:
@@ -279,16 +272,31 @@ def random_incoherent_channel(dim: int, n_kraus: int, seed) -> KrausChannel:
     """
     if dim < 2 or n_kraus < 1:
         raise BadParamsError(f"need dim >= 2 and n_kraus >= 1, got {dim}, {n_kraus}")
-    return KrausChannel(tuple(_monomials(*_draw_incoherent(np.random.default_rng(seed), dim, n_kraus))))
+    draw = _draw_monomials([np.random.default_rng(seed)], dim, [n_kraus], n_kraus)
+    return KrausChannel(tuple(_monomials(*draw)[0]))
 
 
-def _draw_incoherent(rng: np.random.Generator, dim: int, n_kraus: int) -> tuple:
-    """The ``_monomials`` arguments (n_kraus, dim) of ``random_incoherent_channel``,
-    drawn from rng: column maps, moduli and phases."""
-    perms = rng.permuted(np.tile(np.arange(dim), (n_kraus, 1)), axis=1)  # as n_kraus rng.permutation(dim)
-    # column j of the squared moduli is a flat Dirichlet sample: it sums to one
-    moduli = np.sqrt(rng.dirichlet(np.ones(n_kraus), size=dim).T)
-    return perms, moduli, rng.uniform(0.0, _TWO_PI, size=(n_kraus, dim))
+def _draw_monomials(rngs, dim: int, counts, width: int = 1, relabel=False) -> tuple:
+    """The ``_monomials`` arguments (N, width, dim) of one Kraus set per
+    stream, column maps, moduli and phases: row i holds the counts[i]
+    operators that ``random_incoherent_channel`` draws from rngs[i], or where
+    relabel[i], the one of ``random_incoherent_unitary``, and then zero
+    operators (modulus 0) up to width."""
+    template = np.tile(np.arange(dim), (width, 1))
+    perms = np.tile(template, (len(rngs), 1, 1))
+    exps = np.zeros((len(rngs), dim, width))
+    phases = np.zeros((len(rngs), width, dim))
+    for rng, n, unit, p, e, t in zip(rngs, counts, np.broadcast_to(relabel, len(rngs)), perms, exps, phases):
+        rng.permuted(template[:n], axis=1, out=p[:n])  # as n rng.permutation(dim)
+        if unit:
+            e[:, 0] = 1.0
+        else:
+            e[:, :n] = rng.standard_exponential((dim, n))
+        rng.random(out=t[:n])
+    # Column j of the squared moduli is rng.dirichlet(np.ones(n)): exponentials
+    # over their sum, taken in sequence as numpy's Dirichlet takes it.
+    moduli = np.sqrt(exps * (1.0 / np.cumsum(exps, axis=-1)[..., -1:]))
+    return perms, np.swapaxes(moduli, -1, -2), phases * _TWO_PI  # as rng.uniform(0, 2 pi)
 
 
 def _monomials(rows: np.ndarray, moduli: np.ndarray, phases: np.ndarray) -> np.ndarray:
@@ -319,8 +327,6 @@ def channel_from_dict(payload: dict) -> KrausChannel:
 def unitary_from_dict(payload: dict) -> IncoherentUnitary:
     """Parse ``{"dim": d, "perm": [...], "phases": [...]}``."""
     try:
-        perm = tuple(int(p) for p in payload["perm"])
-        phases = tuple(float(t) for t in payload["phases"])
-    except (KeyError, TypeError, ValueError) as exc:
+        return IncoherentUnitary(tuple(payload["perm"]), tuple(float(t) for t in payload["phases"]))
+    except (BadParamsError, KeyError, TypeError, ValueError) as exc:
         raise BadPayloadError(f"malformed unitary payload: {exc}") from exc
-    return IncoherentUnitary(perm, phases)

@@ -29,7 +29,7 @@ CSV_COLUMNS = ("criterion", "measure", "dim", "trials", "violations", "worst_vio
 
 
 class _InputError(Exception):
-    """File missing or payload malformed; maps to exit code 3."""
+    """File missing, unwritable or malformed; maps to exit code 3."""
 
 
 def _default_seed() -> int:
@@ -69,11 +69,14 @@ def _load_channel(path: str) -> ch_mod.KrausChannel:
 
 
 def _write_text(text: str, out_path):
-    if out_path:
+    if not out_path:
+        sys.stdout.write(text)
+        return
+    try:
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        raise _InputError(f"cannot write {out_path}: {exc}") from exc
 
 
 def _dump(payload, out_path):

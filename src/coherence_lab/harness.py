@@ -8,13 +8,14 @@ produce bit-identical results.
 Trials run in blocks of as many as fit STACK_BUDGET (``_block_rows``).  Each
 trial only draws its inputs as arrays from its own stream
 default_rng([seed, trial]), in the order it would draw them alone; the block
-seeds all its streams at once, builds the draws into stacks (one per rank or
-Kraus count), and validates, maps and measures each stack once; the stacked
-kernels round every row as they round one matrix.  ``is_cpo`` decides a
-Kraus stack in one call, at its fixed Gram ratio, whatever ``tol``.  Objects
-are built for the witness only.  THEOREM3 draws one channel per trial and
-measures the probe panel of each Kraus stack at once; a trial whose channel
-is a CPO is inconclusive.
+seeds all its streams at once, builds the draws into stacks (states one per
+rank, Kraus sets one per block zero-padded to n_kraus_range[1] operators),
+and validates, maps and measures each stack once; the stacked kernels round
+every row as they round one matrix.  ``is_cpo`` decides a Kraus stack in one
+call, at its fixed Gram ratio, whatever ``tol``.  Objects are built for the
+witness only.  THEOREM3 draws a channel and a relabeling per trial and
+measures the probe panel of each stack at once; a trial whose channel is a
+CPO is inconclusive.
 
 Criteria: the keys of ``CRITERIA``, each run by ``check_criterion``
 -------------------------------------------------------------------
@@ -113,6 +114,9 @@ class TrialConfig:
         if not (len(lo_hi) == 2 and all(map(is_integer, lo_hi)) and 1 <= lo_hi[0] <= lo_hi[1]):
             raise BadParamsError(f"n_kraus_range must be integers 1 <= lo <= hi, got {self.n_kraus_range!r}")
         object.__setattr__(self, "n_kraus_range", tuple(map(int, lo_hi)))
+        if self.n_kraus_range[1] * self.dim**2 > STACK_BUDGET:  # each row of a channel block holds hi operators
+            raise BadParamsError(f"n_kraus_range hi must be <= {STACK_BUDGET // self.dim**2} at dim {self.dim}, "
+                                 f"so that one trial's operators fit STACK_BUDGET, got {self.n_kraus_range[1]}")
         for knob in ("n_trials", "seed"):  # a numpy integer would not serialize
             object.__setattr__(self, knob, int(getattr(self, knob)))
 
@@ -290,11 +294,6 @@ def _draw_state(rng: np.random.Generator, dim: int, measure_name: str) -> np.nda
     return st_mod._draw_gram(rng, dim, int(rng.integers(1, dim + 1)))
 
 
-def _draw_channel(rng: np.random.Generator, cfg: TrialConfig) -> tuple:
-    lo, hi = cfg.n_kraus_range
-    return ch_mod._draw_incoherent(rng, cfg.dim, int(rng.integers(lo, hi + 1)))
-
-
 def _groups(draws) -> list:
     """Row indices of the draws of each shape, shapes in order of first appearance."""
     rows = {}
@@ -314,17 +313,16 @@ def _states(draws) -> np.ndarray:
     return st_mod.density_matrices(out)
 
 
-def _kraus_stacks(draws):
-    """Yield (rows, Kraus sets (N, n, d, d)) per Kraus count n of
-    ``_draw_channel`` draws, each stack checked for completeness once."""
-    for rows in _groups([perms for perms, _, _ in draws]):
-        ops = ch_mod._monomials(*(np.stack(a) for a in zip(*(draws[i] for i in rows))))
-        ch_mod._check_complete(ops)
-        yield rows, ops
-
-
-def _kraus_channel(draw) -> KrausChannel:
-    return KrausChannel(tuple(ch_mod._monomials(*draw)))
+def _draw_channels(rngs, dim: int, lo: int, hi: int, relabel=False) -> tuple:
+    """One incoherent channel per stream, of a Kraus count drawn in [lo, hi],
+    or where relabel[i], a relabeling: the Kraus sets (N, hi, d, d), zero
+    past each row's count and checked for completeness, and ``kraus(i)``,
+    row i's KrausChannel without its zero operators."""
+    relabel = np.broadcast_to(relabel, len(rngs))
+    counts = [1 if unit else int(rng.integers(lo, hi + 1)) for rng, unit in zip(rngs, relabel)]
+    ops = ch_mod._monomials(*ch_mod._draw_monomials(rngs, dim, counts, hi, relabel))
+    ch_mod._check_complete(ops)
+    return ops, lambda i: KrausChannel(tuple(ops[i, : counts[i]]))
 
 
 def _witness(m, before, after, channel=lambda i: None, aux=lambda i: None):
@@ -351,30 +349,25 @@ def _c2_block(measure_name: str, cfg: TrialConfig, trials: range) -> _Block:
     measure = measure_by_name(measure_name, dim=cfg.dim)
     rngs = _trial_rngs(cfg, trials)
     m = _states([_draw_state(rng, cfg.dim, measure_name) for rng in rngs])
-    draws = [_draw_channel(rng, cfg) for rng in rngs]
-    out = np.empty_like(m)
-    for rows, ops in _kraus_stacks(draws):
-        out[rows] = ch_mod._kraus_sum(ops, m[rows])
+    ops, kraus = _draw_channels(rngs, cfg.dim, *cfg.n_kraus_range)
     before = measure.evaluate(m)
-    after = measure.evaluate(out)
+    after = measure.evaluate(ch_mod._kraus_sum(ops, m))
     slack = before - after
-    return _block(slack, slack < -cfg.tol, _witness(m, before, after, lambda i: _kraus_channel(draws[i])))
+    return _block(slack, slack < -cfg.tol, _witness(m, before, after, kraus))
 
 
 def _c3_block(measure_name: str, cfg: TrialConfig, trials: range) -> _Block:
     measure = measure_by_name(measure_name, dim=cfg.dim)
     rngs = _trial_rngs(cfg, trials)
     m = _states([_draw_state(rng, cfg.dim, measure_name) for rng in rngs])
-    draws = [_draw_channel(rng, cfg) for rng in rngs]
-    parts = [(rows, *ch_mod._kraus_branches(ops, m[rows])) for rows, ops in _kraus_stacks(draws)]
-    owners = np.concatenate([rows[np.nonzero(kept)[0]] for rows, kept, _, _ in parts])
-    weights = np.concatenate([p for _, _, p, _ in parts])
-    values = measure.evaluate(np.concatenate([branches for *_, branches in parts]))
+    ops, kraus = _draw_channels(rngs, cfg.dim, *cfg.n_kraus_range)
+    kept, weights, branches = ch_mod._kraus_branches(ops, m)
+    values = measure.evaluate(branches)
     before = measure.evaluate(m)
     after = np.zeros(len(trials))
-    np.add.at(after, owners, weights * values)  # each trial's branches in order, as it adds them alone
+    np.add.at(after, np.nonzero(kept)[0], weights * values)  # each trial's branches in order, as it adds them alone
     slack = before - after
-    return _block(slack, slack < -cfg.tol, _witness(m, before, after, lambda i: _kraus_channel(draws[i])))
+    return _block(slack, slack < -cfg.tol, _witness(m, before, after, kraus))
 
 
 def _c4_block(measure_name: str, cfg: TrialConfig, trials: range) -> _Block:
@@ -399,12 +392,12 @@ def _lemma1_block(measure_name: str, cfg: TrialConfig, trials: range) -> _Block:
     measure = measure_by_name(measure_name, dim=cfg.dim)
     rngs = _trial_rngs(cfg, trials)
     m = _states([_draw_state(rng, cfg.dim, measure_name) for rng in rngs])
-    draws = [ch_mod._draw_unitary(rng, cfg.dim) for rng in rngs]
-    u = ch_mod._monomials(*(np.stack(a) for a in zip(*draws)))[:, 0]
+    perms, moduli, phases = (a[:, 0] for a in ch_mod._draw_monomials(rngs, cfg.dim, [1] * len(rngs), relabel=True))
+    u = ch_mod._monomials(perms, moduli, phases)
     before = measure.evaluate(m)
     after = measure.evaluate(u @ m @ dagger(u))
     slack = cfg.tol - np.abs(after - before)
-    return _block(slack, slack < 0, _witness(m, before, after, lambda i: ch_mod._unitary(draws[i])))
+    return _block(slack, slack < 0, _witness(m, before, after, lambda i: IncoherentUnitary(perms[i], phases[i])))
 
 
 def _lemma2_block(measure_name: str, cfg: TrialConfig, trials: range) -> _Block:
@@ -415,17 +408,12 @@ def _lemma2_block(measure_name: str, cfg: TrialConfig, trials: range) -> _Block:
         for t, rng in zip(trials, rngs)
     ])
     # A quarter of the channels are CPOs so the allowed branch gets exercised.
-    draws = [ch_mod._draw_unitary(rng, cfg.dim) if rng.uniform() < 0.25 else _draw_channel(rng, cfg)
-             for rng in rngs]
-    out, cpo = np.empty_like(m), np.empty(len(trials), dtype=bool)
-    for rows, ops in _kraus_stacks(draws):
-        out[rows], cpo[rows] = ch_mod._kraus_sum(ops, m[rows]), is_cpo(ops)
-    before, after = mcs_deviation(m), mcs_deviation(out)
+    ops, kraus = _draw_channels(rngs, cfg.dim, *cfg.n_kraus_range, [rng.uniform() < 0.25 for rng in rngs])
+    before, after = mcs_deviation(m), mcs_deviation(ch_mod._kraus_sum(ops, m))
     # a CPO acting on a maximally coherent input is exempt
-    counted = ~cpo | (before > cfg.tol)
+    counted = ~is_cpo(ops) | (before > cfg.tol)
     slack = after - cfg.tol
-    witness = _witness(m, before, after, lambda i: _kraus_channel(draws[i]))
-    return _block(slack, counted & (slack < 0), witness, counted)
+    return _block(slack, counted & (slack < 0), _witness(m, before, after, kraus), counted)
 
 
 @lru_cache(maxsize=16)
@@ -456,20 +444,19 @@ def _theorem3_block(measure_name: str, cfg: TrialConfig, trials: range) -> _Bloc
     probes = _probe_panel(cfg.dim, cfg.seed, PROBE_COUNT)
     rngs = _trial_rngs(cfg, trials)
     lo, hi = cfg.n_kraus_range
-    two_or_more = dataclasses.replace(cfg, n_kraus_range=(max(2, lo), max(2, hi)))
-    draws = tuple(_draw_channel(rng, two_or_more) for rng in rngs)
-    cpos = tuple(ch_mod._draw_unitary(rng, cfg.dim) for rng in rngs)
-    dev, cpo = np.empty(2 * len(trials)), np.empty(2 * len(trials), dtype=bool)
-    for rows, ops in _kraus_stacks(draws + cpos):
-        dev[rows], cpo[rows] = _panel_deviation(probes, ops), is_cpo(ops)
-    dev, cpo_dev = np.split(dev, 2)
-    counted = ~cpo[: len(trials)]  # a CPO draw tests nothing: the trial is inconclusive
+    ops, kraus = _draw_channels(rngs, cfg.dim, max(2, lo), max(2, hi))
+    perms, moduli, phases = ch_mod._draw_monomials(rngs, cfg.dim, [1] * len(rngs), relabel=True)
+    cpo_ops = ch_mod._monomials(perms, moduli, phases)
+    dev, cpo_dev = _panel_deviation(probes, ops), _panel_deviation(probes, cpo_ops)
+    counted = ~is_cpo(ops)  # a CPO draw tests nothing: the trial is inconclusive
     masquerade = dev <= cfg.tol
     slack = np.minimum(dev - cfg.tol, CPO_PRESERVE_TOL - cpo_dev)
 
     def witness(i):
-        channel = _kraus_channel(draws[i] if masquerade[i] else cpos[i])
-        offender = channel if masquerade[i] else ch_mod._unitary(cpos[i])
+        if masquerade[i]:
+            channel = offender = kraus(i)
+        else:
+            channel, offender = KrausChannel(tuple(cpo_ops[i])), IncoherentUnitary(perms[i, 0], phases[i, 0])
         probe = from_pure(PureState(probes[0]))
         out = apply_channel(channel, probe)
         aux = {"panel_deviation": float(dev[i]), "cpo_deviation": float(cpo_dev[i]), "measure": "l1"}
@@ -482,8 +469,8 @@ def _theorem3_block(measure_name: str, cfg: TrialConfig, trials: range) -> _Bloc
 def _block_rows(criterion: str, cfg: TrialConfig) -> int:
     """Rows per block of a criterion's kernel: as many as keep its widest stacked temporary within
     STACK_BUDGET entries, and at least one.  Per row that is d(d-1) points of d in a C5 ascent pass;
-    PROBE_COUNT d x d outputs of a THEOREM3 channel (a trial's two have different Kraus counts, so
-    never share a stack); n_kraus_range[1] d x d operators for C2, C3 and LEMMA2; one d x d state
+    PROBE_COUNT d x d outputs of a THEOREM3 channel (its channel and its relabeling are separate
+    stacks); n_kraus_range[1] d x d operators for C2, C3 and LEMMA2; one d x d state
     otherwise; but at least a trial's stream and draws, about 1 KiB of objects: 64 entries."""
     d, n = cfg.dim, cfg.n_kraus_range[1]
     per_row = {"C5": d - 1, "THEOREM3": max(PROBE_COUNT, n), "C2": n, "C3": n, "LEMMA2": n}

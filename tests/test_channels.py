@@ -183,6 +183,14 @@ def test_incoherent_unitary_validation():
         IncoherentUnitary(perm=(0, 0), phases=(0.0, 0.0))
     with pytest.raises(BadParamsError):
         IncoherentUnitary(perm=(0, 1), phases=(0.0,))
+    # a perm entry must be an integer, not a float, a string or a bool, and a phase finite
+    for perm in ((0, 1.7), (1.0, 0.0), ("1", "0"), (True, False)):
+        with pytest.raises(BadParamsError, match="integers"):
+            IncoherentUnitary(perm=perm, phases=(0.0, 0.0))
+    for phases in ((np.nan, 0.0), (0.0, np.inf), (-np.inf, 0.0)):
+        with pytest.raises(BadParamsError, match="finite"):
+            IncoherentUnitary(perm=(1, 0), phases=phases)
+    assert IncoherentUnitary(perm=np.array([1, 0]), phases=(0.0, 7.0)).perm == (1, 0)
 
 
 def test_is_cpo_examples():
@@ -224,7 +232,8 @@ def sample_channel(rng, dim, n_kraus, kind):
 @given(dim=st.integers(2, 8), seed=st.integers(0, 2**32 - 1))
 def test_is_cpo_agrees_with_choi_spectrum(dim, seed):
     """Each channel's verdict is the Choi reference's, and Kraus sets stacked
-    per Kraus count give each set its own channel's verdict."""
+    per Kraus count, or zero-padded to six operators as the harness stacks
+    them, give each set its own channel's verdict."""
     rng = np.random.default_rng(seed)
     for n_kraus in range(1, 5):
         chans = [sample_channel(rng, dim, n_kraus, kind) for kind in ("random", "split", "coherent") * 2]
@@ -234,6 +243,8 @@ def test_is_cpo_agrees_with_choi_spectrum(dim, seed):
         assert not any(is_incoherent_channel(ch) for ch in chans[2::3])
         stack = np.stack([np.stack(ch.kraus) for ch in chans])
         assert is_cpo(stack).tolist() == [is_cpo(ch) for ch in chans]
+        padded = np.concatenate([stack, np.zeros((len(chans), 6 - n_kraus, dim, dim))], axis=1)
+        assert is_cpo(padded).tolist() == [is_cpo(ch) for ch in chans]
         assert is_incoherent_channel(stack).tolist() == [is_incoherent_channel(ch) for ch in chans]
         assert not is_cpo(stack[2::3]).any()  # no set of this stack is incoherent
         # a stack with leading axes gives a verdict per set in the same layout
@@ -338,6 +349,11 @@ def test_channel_from_dict_rejects_malformed_payloads(payload):
     {"perm": [1, 0]},
     {"perm": [1, 0], "phases": 0.5},
     {"perm": ["x", 0], "phases": [0.0, 0.0]},
+    {"perm": [0, 1.7], "phases": [0, 0]},
+    {"perm": ["1", "0"], "phases": [0, 0]},
+    {"perm": [True, False], "phases": [0, 0]},
+    {"perm": [1, 0], "phases": ["nan", 0]},
+    {"perm": [1, 0], "phases": [0, float("inf")]},
 ])
 def test_unitary_from_dict_rejects_malformed_payloads(payload):
     with pytest.raises(BadPayloadError):

@@ -352,6 +352,24 @@ def test_out_file_writing(tmp_path, psi3_file):
     assert abs(payload["value"] - 2.0) <= 1e-9
 
 
+@pytest.mark.parametrize("argv", [
+    ["measure", "--state", "{psi3}", "--measure", "l1"],
+    ["check-channel", "--channel", "{hadamard}"],
+    ["verify", "--criterion", "C1", "--measure", "l1", "--dim", "2", "--trials", "3"],
+    ["hunt", "--dim", "3", "--trials", "3"],
+    ["mcs", "--state", "{psi3}"],
+], ids=lambda argv: argv[0])
+def test_unwritable_out_is_exit_3(argv, tmp_path, psi3_file, hadamard_file, capsys):
+    """Every subcommand that takes --out reports a path it cannot write as an
+    I/O error, exit 3, and not as found violations (exit 1) or a traceback."""
+    out = tmp_path / "missing" / "x.json"
+    argv = [a.format(psi3=psi3_file, hadamard=hadamard_file) for a in argv]
+    assert cli.run(argv + ["--out", str(out)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith(f"error: cannot write {out}:")
+    assert not out.parent.exists()
+
+
 def test_emit_report_round_trip():
     report = check_criterion("C2", "l1", TrialConfig(dim=2, n_trials=10, seed=0))
     from coherence_lab.harness import report_from_dict

@@ -68,7 +68,8 @@ def pin_key(criterion, measure, dim, seed):
     return f"{criterion}/{measure}/d{dim}/s{seed}"
 
 
-def run_case(criterion, measure, dim, seed):
+def case_config(criterion, measure, dim, seed):
+    """The criterion a case runs and its TrialConfig."""
     kraus_range = (1, 4)
     if criterion.startswith("K2-4/"):
         criterion, kraus_range = criterion[len("K2-4/"):], (2, 4)
@@ -78,7 +79,11 @@ def run_case(criterion, measure, dim, seed):
     if criterion.startswith("LOOSE/"):
         criterion = criterion[len("LOOSE/"):]
         tol, trials = LOOSE[criterion]
-    cfg = TrialConfig(dim=dim, n_trials=trials, seed=seed, tol=tol, n_kraus_range=kraus_range)
+    return criterion, TrialConfig(dim=dim, n_trials=trials, seed=seed, tol=tol, n_kraus_range=kraus_range)
+
+
+def run_case(criterion, measure, dim, seed):
+    criterion, cfg = case_config(criterion, measure, dim, seed)
     return harness.check_criterion(criterion, measure, cfg)
 
 
@@ -119,11 +124,13 @@ def test_pins_cover_every_case():
 )
 def test_reports_do_not_depend_on_block_size(case, monkeypatch):
     # one block at the default budget, one trial a block at 1; at these shapes 500
-    # entries give blocks of 7 trials, or of 2 to 6 for THEOREM3 (20 d x d per row)
+    # entries give blocks of 7 trials, or of 2 to 6 for THEOREM3 (20 d x d per row).
+    # The config is built first: TrialConfig checks that one trial fits the budget.
+    criterion, cfg = case_config(*case)
     reports = []
     for budget in (harness.STACK_BUDGET, 500, 1):
         monkeypatch.setattr(harness, "STACK_BUDGET", budget)
-        reports.append(json.dumps(run_case(*case).to_dict()))
+        reports.append(json.dumps(harness.check_criterion(criterion, case[1], cfg).to_dict()))
     assert reports[0] == reports[1] == reports[2]
 
 

@@ -76,6 +76,11 @@ def test_trial_config_validation():
                {"n_kraus_range": 4}):
         with pytest.raises((BadDimError, BadParamsError)):
             TrialConfig(**{"dim": 3, "n_trials": 10, **kw})
+    # every row of a channel block holds hi operators, so one trial's must fit the stack budget
+    most = harness.STACK_BUDGET // 9
+    assert TrialConfig(dim=3, n_trials=10, n_kraus_range=(1, most)).n_kraus_range == (1, most)
+    with pytest.raises(BadParamsError, match="n_kraus_range"):
+        TrialConfig(dim=3, n_trials=10, n_kraus_range=(1, most + 1))
     stored = TrialConfig(dim=np.int64(3), n_trials=np.int64(10), n_kraus_range=np.array([2, 4]))
     assert (stored.dim, stored.n_trials, stored.n_kraus_range) == (3, 10, (2, 4))
     assert {type(x) for x in (stored.dim, stored.n_trials, *stored.n_kraus_range)} == {int}
@@ -118,9 +123,9 @@ def test_trial_streams_match_default_rng(seed):
 
 
 def _per_matrix_draws(rng, dim, rank, n):
-    """G as two (d, r) calls, then ``_draw_incoherent``'s column maps as n
-    ``permutation`` calls, its moduli and its phases: the draws that the
-    single-call draws replaced, in their order."""
+    """G as two (d, r) calls, then a channel's column maps as n
+    ``permutation`` calls, its moduli from ``dirichlet`` and its phases from
+    ``uniform``: the draws that the single-call draws replaced, in their order."""
     g = rng.standard_normal((dim, rank)) + 1j * rng.standard_normal((dim, rank))
     perms = np.array([rng.permutation(dim) for _ in range(n)])
     moduli = np.sqrt(rng.dirichlet(np.ones(n), size=dim).T)
@@ -129,20 +134,29 @@ def _per_matrix_draws(rng, dim, rank, n):
 
 @pytest.mark.parametrize("dim", range(2, 9))
 def test_single_call_draws_match_the_per_matrix_draws(dim):
-    """A Gram draw in one (2, d, r) call and the column maps in one
-    ``permuted`` call give, bit for bit, the numbers of the per-matrix calls
-    they replace, and leave the stream where those calls left it."""
+    """A Gram draw in one (2, d, r) call, the column maps in one ``permuted``
+    call, and the Dirichlet moduli and uniform phases from exponentials and
+    ``random`` give, bit for bit, the numbers of the per-matrix calls they
+    replace, for a channel and then a relabeling, and leave the stream where
+    those calls left it."""
+    # past 7, where a reciprocal of a pairwise sum would part from numpy's Dirichlet
     for rank in range(1, dim + 1):
-        for n in range(1, 13):  # past 7, where a reciprocal-of-sum Dirichlet would part from numpy's
+        for n in [*range(1, 13), 16, 33, 69]:
             rng, ref_rng = (np.random.default_rng([dim, rank, n]) for _ in range(2))
             parts = st_mod._draw_gram(rng, dim, rank)
-            channel = ch_mod._draw_incoherent(rng, dim, n)
+            channel = ch_mod._draw_monomials([rng], dim, [n], n + 1)  # one zero operator past the n
             g, ref_channel = _per_matrix_draws(ref_rng, dim, rank, n)
             assert _same_bits(parts[0] + 1j * parts[1], g)
             m = g @ dagger(g)
             assert _same_bits(st_mod._gram_states(parts), m / np.trace(m).real)
             for got, want in zip(channel, ref_channel):
-                assert _same_bits(got, want)
+                assert _same_bits(got[0, :n], want)
+            assert _same_bits(channel[1][0, n], np.zeros(dim))
+            # a relabeling: one permutation and uniform phases, with no Dirichlet draw between them
+            unitary = ch_mod._draw_monomials([rng], dim, [1], relabel=True)
+            ref_unitary = ref_rng.permutation(dim), np.ones(dim), ref_rng.uniform(0.0, 2.0 * np.pi, dim)
+            for got, want in zip(unitary, ref_unitary):
+                assert _same_bits(got[0, 0], want)
             assert _same_bits(rng.standard_normal(3), ref_rng.standard_normal(3))
 
 
@@ -198,40 +212,43 @@ def test_stacked_sampler_matches_the_public_constructors(dim):
     """Draws built, validated and mapped as stacks equal, bit for bit, what
     the public constructors and maps give one trial at a time."""
     cfg = small_cfg(dim=dim, n=64, seed=29)
-    states, channels, unitaries, pures, mcss = [], [], [], [], []
-    ref = []
-    for rng, ref_rng in zip(*(harness._trial_rngs(cfg, range(cfg.n_trials)) for _ in range(2))):
-        states.append(harness._draw_state(rng, dim, "l1"))
-        channels.append(harness._draw_channel(rng, cfg))
-        unitaries.append(ch_mod._draw_unitary(rng, dim))
-        pures.append(harness._draw_state(rng, dim, "int_rand"))
-        mcss.append(mcs_mod._draw_mcs(rng, dim))
-        ref.append((
+    rngs = harness._trial_rngs(cfg, range(cfg.n_trials))
+    states = [harness._draw_state(rng, dim, "l1") for rng in rngs]
+    ops, kraus = harness._draw_channels(rngs, dim, *cfg.n_kraus_range)
+    perms, moduli, phases = ch_mod._draw_monomials(rngs, dim, [1] * len(rngs), relabel=True)
+    pures = [harness._draw_state(rng, dim, "int_rand") for rng in rngs]
+    mcss = [mcs_mod._draw_mcs(rng, dim) for rng in rngs]
+    ref = [
+        (
             _per_trial_input(ref_rng, dim, "l1"),
             _per_trial_channel(ref_rng, cfg),
             random_incoherent_unitary(dim, ref_rng),
             _per_trial_input(ref_rng, dim, "int_rand"),
             from_pure(mcs_sample(dim, ref_rng)),
-        ))
+        )
+        for ref_rng in harness._trial_rngs(cfg, range(cfg.n_trials))
+    ]
     # the block mixes every rank and every Kraus count
     assert {g.shape[-1] for g in states} == set(range(1, dim + 1))
-    assert {perms.shape[0] for perms, _, _ in channels} == {1, 2, 3, 4}
+    counts = [kraus(i).n_kraus for i in range(len(ops))]  # the witness channel drops the zero operators
+    assert set(counts) == {1, 2, 3, 4} and ops.shape == (64, 4, dim, dim)
 
     m = harness._states(states)
     assert _same_bits(m, np.stack([r[0].matrix for r in ref]))
     assert _same_bits(harness._states(pures), np.stack([r[3].matrix for r in ref]))
     assert _same_bits(harness._states(mcss), np.stack([r[4].matrix for r in ref]))
-    for rows, ops in harness._kraus_stacks(channels):
-        chans, rhos = [ref[i][1] for i in rows], [ref[i][0] for i in rows]
-        assert _same_bits(ops, np.stack([np.stack(ch.kraus) for ch in chans]))
-        outputs = [apply_channel(ch, rho).matrix for ch, rho in zip(chans, rhos)]
-        assert _same_bits(ch_mod._kraus_sum(ops, m[rows]), np.stack(outputs))
-        kept, weights, branches = ch_mod._kraus_branches(ops, m[rows])
-        selective = [apply_selective(ch, rho) for ch, rho in zip(chans, rhos)]
-        assert kept.sum(axis=1).tolist() == [len(sel) for sel in selective]
-        assert _same_bits(weights, np.array([p for sel in selective for p, _ in sel]))
-        assert _same_bits(branches, np.stack([b.matrix for sel in selective for _, b in sel]))
-    u = ch_mod._monomials(*(np.stack(a) for a in zip(*unitaries)))[:, 0]
+    chans, rhos = [r[1] for r in ref], [r[0] for r in ref]
+    for row, count, ch in zip(ops, counts, chans):
+        assert _same_bits(row[:count], np.stack(ch.kraus))
+        assert _same_bits(row[count:], np.zeros_like(row[count:]))  # the pad operators are exact zeros
+    outputs = [apply_channel(ch, rho).matrix for ch, rho in zip(chans, rhos)]
+    assert _same_bits(ch_mod._kraus_sum(ops, m), np.stack(outputs))
+    kept, weights, branches = ch_mod._kraus_branches(ops, m)
+    selective = [apply_selective(ch, rho) for ch, rho in zip(chans, rhos)]
+    assert kept.sum(axis=1).tolist() == [len(sel) for sel in selective]
+    assert _same_bits(weights, np.array([p for sel in selective for p, _ in sel]))
+    assert _same_bits(branches, np.stack([b.matrix for sel in selective for _, b in sel]))
+    u = ch_mod._monomials(perms, moduli, phases)[:, 0]
     assert _same_bits(u, np.stack([r[2].matrix() for r in ref]))
     assert _same_bits(u @ m @ dagger(u), np.stack([r[2].conjugate(r[0]).matrix for r in ref]))
 
@@ -240,7 +257,6 @@ def test_stack_validation_bites(monkeypatch):
     cfg = small_cfg(dim=4, n=12, seed=3)
     rngs = harness._trial_rngs(cfg, range(cfg.n_trials))
     states = [harness._draw_state(rng, cfg.dim, "l1") for rng in rngs]
-    channels = [harness._draw_channel(rng, cfg) for rng in rngs]
     gram_states, monomials = st_mod._gram_states, ch_mod._monomials
 
     for defect, error in ((np.array([[0.0, 1e-3], [0.0, 0.0]]), NonHermitianError),
@@ -265,9 +281,9 @@ def test_stack_validation_bites(monkeypatch):
 
     monkeypatch.setattr(ch_mod, "_monomials", incomplete)
     with pytest.raises(IncompleteChannelError):
-        list(harness._kraus_stacks(channels))
+        harness._draw_channels(rngs, cfg.dim, *cfg.n_kraus_range)
     with pytest.raises(IncompleteChannelError):
-        KrausChannel(tuple(spoilt[0]))
+        KrausChannel(tuple(k for k in spoilt[0] if k.any()))  # without its zero operators
 
 
 def _per_trial_slacks(criterion, measure_name, cfg):
@@ -742,7 +758,7 @@ def test_c5_does_not_depend_on_block_size(monkeypatch):
 @pytest.mark.parametrize("criterion", list(harness.CRITERIA))
 def test_blocks_hold_as_many_rows_as_fit_the_stack_budget(criterion):
     for dim in range(2, 17):
-        for kraus in [(1, 4), (2, 40), (1, 1000)]:
+        for kraus in [(1, 4), (2, 40), (1, harness.STACK_BUDGET // dim**2)]:  # the last, as many as one row fits
             cfg = TrialConfig(dim=dim, n_trials=1, n_kraus_range=kraus)
             rows, entries = harness._block_rows(criterion, cfg), _row_entries(criterion, cfg)
             assert rows >= 1 and (rows == 1 or rows * entries <= harness.STACK_BUDGET)
@@ -768,7 +784,7 @@ def test_benchmark_shapes_fit_one_block():
 def test_a_full_block_stays_within_a_few_budgets(criterion, measure, dim):
     """The budget bounds each temporary, so a block's traced peak, all its live
     arrays and per-trial objects together, stays within a few budgets of
-    complex entries: 1.3 to 6.1 at these shapes, against a bound of 12."""
+    complex entries: 1.2 to 6.1 at these shapes, against a bound of 12."""
     rows = harness._block_rows(criterion, small_cfg(dim=dim))
     cfg = small_cfg(dim=dim, n=rows)
     tracemalloc.start()
