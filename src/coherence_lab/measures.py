@@ -7,8 +7,9 @@ Implemented measures:
   in bits.
 * ``int_rand`` -- intrinsic randomness: equals ``rel_ent`` on pure states,
   and the convex roof (minimum ensemble average of the pure-state value)
-  on mixed states, estimated by a restart + local-refinement optimizer.
-  The optimizer yields an upper bound on the true roof.
+  on mixed states, estimated by a batched Riemannian gradient descent over
+  the mixing isometry from the eigen ensemble and random restarts.  The
+  optimizer yields an upper bound on the true roof.
 * ``skew`` -- the skew information -1/2 tr([sqrt(rho), K]^2) for a
   nondegenerate diagonal observable K.  A valid quantifier in dimension 2
   only; for d >= 3 it fails monotonicity, which the harness exploits.
@@ -43,9 +44,12 @@ _LOG_FLOOR = 1e-15
 # Eigenvalues below this are treated as absent when building ensembles.
 _RANK_TOL = 1e-12
 
-# Step floors of the convex-roof refinement: restarts stop halving below the
-# coarse one, and the winner is polished down to the fine one.
-_COARSE_STEP, _FINE_STEP = 1e-3, 1e-8
+# The convex-roof descent: its first step, the Armijo constant, how many halvings
+# of a step a row tries before it stops, the range of its Barzilai-Borwein steps,
+# and the relative decrease that stops the restarts (after at most
+# _LOOSE_ITERATIONS iterations) and then the winner's polish.
+_FIRST_STEP, _ARMIJO, _BACKTRACKS, _STEP_RANGE = 0.1, 1e-4, 20, (1e-8, 10.0)
+_LOOSE_TOL, _LOOSE_ITERATIONS, _TIGHT_TOL = 1e-6, 300, 1e-13
 
 
 def shannon_entropy(probs: np.ndarray):
@@ -79,12 +83,12 @@ def default_observable(dim: int) -> DiagonalObservable:
 
 @dataclasses.dataclass(frozen=True)
 class OptimizerConfig:
-    """Knobs for the convex-roof estimator: restart count, passes per refinement
-    (a pass sweeps every round of row pairs that share no row) and restart seed.
-    The step floors are fixed (1e-3 for the restarts, 1e-8 for the winner's polish)."""
+    """Knobs for the convex-roof estimator: restart count, gradient iterations per
+    stage and restart seed.  The stops are fixed: the restarts stop at a relative
+    decrease below 1e-6 (after at most 300 iterations), the winner's polish below 1e-13."""
 
     restarts: int = 32
-    max_iterations: int = 500
+    max_iterations: int = 1000
     seed: int = 0
 
     def __post_init__(self):
@@ -171,9 +175,13 @@ def c_skew_pure(p: np.ndarray, k: DiagonalObservable):
     """Closed form on pure states: 1/2 sum_{i != j} p_i p_j (k_i - k_j)^2 with p = |<i|psi>|^2."""
     if k.dim != p.shape[-1]:
         raise DimMismatchError(f"observable dim {k.dim} != state dim {p.shape[-1]}")
-    diff = k.values[:, None] - k.values[None, :]
-    # elementwise sums, not matmul: each row rounds the same in any stack
-    return 0.5 * ((p[..., :, None] * diff**2).sum(axis=-2) * p).sum(axis=-1)
+    diff2 = (k.values[:, None] - k.values[None, :]) ** 2
+    # sum_i p_i diff2[i] accumulated in order, as a sum over that axis would, without
+    # the (..., d, d) product; elementwise, not matmul: each row rounds the same in any stack
+    acc = p[..., 0, None] * diff2[0]
+    for i in range(1, k.dim):
+        acc = acc + p[..., i, None] * diff2[i]
+    return 0.5 * (acc * p).sum(axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -181,87 +189,73 @@ def c_skew_pure(p: np.ndarray, k: DiagonalObservable):
 # ---------------------------------------------------------------------------
 
 
-# The four trial rotations of a row pair, in the order they are tried:
-# phi = 0 with t = +step, -step, then phi = pi/2 with t = +step, -step.
-_TRIAL_SIGNS = np.array([1.0, -1.0, 1.0, -1.0])
-_TRIAL_PHASES = np.exp(1j * np.array([0.0, 0.0, 0.5 * np.pi, 0.5 * np.pi]))
-
-
-def _member_values(members: np.ndarray) -> np.ndarray:
-    """Probability-weighted pure-state values of unnormalized members (last axis)."""
+def _roof_gradient(ws: np.ndarray, b: np.ndarray):
+    """Values of isometries (..., m, r) mixing b (d, r) into members M = ws b^T, and the
+    Euclidean gradients G = 2 (M * log2(p / a)) conj(b), a = |M|^2, p its row sums.
+    The value of member i is p_i log2 p_i - sum_j a_ij log2 a_ij, with 0 log 0 = 0:
+    entries at or below _LOG_FLOOR take log2(1) = 0, so zero rows add 0 to both."""
+    members = ws @ b.T
     a = members.real**2 + members.imag**2
     p = np.add.reduce(a, axis=-1)
-    # 0 log 0 = 0: entries at or below _LOG_FLOOR take log2(1) = 0
-    xlogx = a * np.log2(np.where(a > _LOG_FLOOR, a, 1.0))
-    return p * np.log2(np.where(p > _LOG_FLOOR, p, 1.0)) - np.add.reduce(xlogx, axis=-1)
+    log_a = np.log2(np.where(a > _LOG_FLOOR, a, 1.0))
+    log_p = np.log2(np.where(p > _LOG_FLOOR, p, 1.0))
+    values = np.add.reduce(p * log_p - np.add.reduce(a * log_a, axis=-1), axis=-1)
+    return values, 2.0 * ((log_p[..., None] - log_a) * members) @ b.conj()
 
 
-def _round_robin(m: int) -> np.ndarray:
-    """Each row pair (i, j), i < j, of m rows once, in m - 1 + m % 2 rounds of m // 2
-    pairs sharing no row (the circle method: Brent & Luk, SIAM J. Sci. Stat. Comput. 6,
-    69 (1985)): for n = m + m % 2, round k pairs k with n - 1 (no row for odd m) and k ± a mod n - 1."""
-    n = m + m % 2
-    k, a = np.arange(n - 1)[:, None], np.arange(n // 2)
-    i, j = (k + a) % (n - 1), np.where(a > 0, (k - a) % (n - 1), n - 1)
-    return np.sort(np.stack((i, j), axis=-1), axis=-1)[:, n // 2 - m // 2 :]
+def _sq_norm(x: np.ndarray) -> np.ndarray:
+    """Squared Frobenius norms of a stack of complex matrices (R, m, r)."""
+    return (x.real**2 + x.imag**2).sum(axis=(1, 2))
 
 
-def _refine_mixer(ws: np.ndarray, b: np.ndarray, cfg: OptimizerConfig, floor: float):
-    """Coordinate descent over row-pair rotations of a stack of isometries (R, m, r).
+def _descend(ws: np.ndarray, b: np.ndarray, max_iterations: int, tol: float):
+    """Riemannian gradient descent on the Stiefel manifold for a stack of isometries (R, m, r).
 
-    Each isometry follows the trajectory it would follow alone: its own step,
-    halved after three passes or a pass without gain, and its own exit below
-    ``floor``, after cfg.max_iterations passes or at _RANK_TOL.  A pass sweeps
-    the rounds of ``_round_robin(m)``, whose pairs share no row and so move
-    together as they would in turn.  A rotation touches two rows, hence two
-    ensemble members, so acceptance tests are incremental: per round, the four
-    trial rotations of each (isometry, pair) entry still to score are scored
-    in one array evaluation, and after an accepted one the phi = pi/2 trials
-    still ahead are rescored.  Returns the isometries and their values."""
-    (n, m, _), d = ws.shape, b.shape[0]
-    # row i of x[k] is member i of isometry k (d amplitudes) followed by row i
-    # of the isometry itself: a rotation of the pair mixes both alike
-    x = np.concatenate((ws @ b.T, ws), axis=2)
-    values = _member_values(x[:, :, :d])
-    rounds = _round_robin(m)
-    step = np.full(n, 0.5)
-    passes, at_step = np.zeros((2, n), dtype=int)  # at_step: passes made at the current step
-    active = np.full(n, 0.5 >= floor)
-    while active.any():
-        t = step[:, None] * _TRIAL_SIGNS
-        c = (1.0 - t * t) / (1.0 + t * t)
-        s = 2.0 * t * _TRIAL_PHASES / (1.0 + t * t)
-        # (2, n, 4, 2, 1): the factors of x_i, then of x_j, in the Cayley rotation [[c, -s], [conj(s), c]]
-        rot = np.stack((np.stack((c, s.conj()), -1), np.stack((-s, c), -1)))[..., None]
-        improving = np.zeros(n, dtype=bool)
-        for pairs in rounds:
-            # the (isometry, pair) entries to score: active, members not both incoherent
-            k, p = np.nonzero(active[:, None] & (values[:, pairs].sum(axis=2) > 1e-14))
-            first = 0  # the first trial still to score
-            while k.size:
-                at = k[:, None], pairs[p]  # (e, 2): each entry's isometry and its two rows
-                xp = x[at][:, :, None, None]  # (e, 2, 1, 1, d + r)
-                rot_i, rot_j = rot[:, k]
-                trial = rot_i * xp[:, 0] + rot_j * xp[:, 1]  # (e, 4, 2, d + r)
-                trial_values = _member_values(trial[..., :d])
-                ok = values[at].sum(axis=1)[:, None] - trial_values[..., 0] - trial_values[..., 1] > 1e-14
-                ok[:, :first] = False
-                f = ok.argmax(axis=1)  # the first accepted trial, where ok has one
-                hit = ok.any(axis=1)
-                moved = at[0][hit], at[1][hit]
-                x[moved], values[moved] = trial[hit, f[hit]], trial_values[hit, f[hit]]
-                improving[k[hit]] = True
-                # R(-t) = R(t)^-1, so the accepted phase's other sign would only undo it
-                again = hit & (f < 2)
-                k, p, first = k[again], p[again], 2
-        passes += active
-        at_step += active
-        done = values.sum(axis=1) <= _RANK_TOL
-        halve = active & ~done & (~improving | (passes >= cfg.max_iterations) | (at_step == 3))
-        step = np.where(halve, 0.5 * step, step)
-        at_step[halve] = 0
-        active &= ~done & (~halve | ((step >= floor) & (passes < cfg.max_iterations)))
-    return x[:, :, d:], values.sum(axis=1)
+    Each isometry W moves along the Cayley curve (I + tau A / 2)^-1 (I - tau A / 2) W of
+    the skew-Hermitian A = G W^+ - W G^+, in the low-rank form of Wen & Yin (Math.
+    Program. 142, 397 (2013)) with one 2r x 2r solve (see also Abrudan, Eriksson &
+    Koivunen, IEEE Trans. Signal Process. 56, 1134 (2008)).  tau starts from the
+    Barzilai-Borwein step |<s, y>| / |y|^2 of the last move s and the change y of the
+    Riemannian gradient A W, and is halved until the Armijo condition holds; a row
+    whose backtracking fails keeps its point and stops, so no row ends above its start.
+    Each row also stops at a decrease below tol times its value, at or below _RANK_TOL
+    or after max_iterations iterations, and follows the trajectory it would follow
+    alone.  Returns the isometries and their values."""
+    r = ws.shape[2]
+    eye = np.eye(2 * r)
+    ws, (values, grads) = ws.copy(), _roof_gradient(ws, b)
+    live = np.flatnonzero(values > _RANK_TOL)
+    w, f, g, tau = ws[live], values[live], grads[live], np.full(live.size, _FIRST_STEP)
+    for _ in range(max_iterations):
+        if not live.size:
+            break
+        # A = U V^+ with U = [G, W], V = [W, -G]
+        u = np.concatenate((g, w), axis=2)
+        vh = np.concatenate((w, -g), axis=2).conj().swapaxes(1, 2)
+        vu, vw = vh @ u, vh @ w
+        gw = -vw[:, r:]  # G^+ W
+        # f falls along the curve at the rate |A|^2 / 2 = |G|^2 - Re tr((G^+ W)^2)
+        slope = _sq_norm(g) - (gw * gw.swapaxes(1, 2)).real.sum(axis=(1, 2))
+        new_w, new_f, new_g = w.copy(), f.copy(), g.copy()
+        pending = np.arange(live.size)
+        for _ in range(_BACKTRACKS):
+            t = tau[pending, None, None]
+            trial = w[pending] - t * u[pending] @ np.linalg.solve(eye + 0.5 * t * vu[pending], vw[pending])
+            trial_f, trial_g = _roof_gradient(trial, b)
+            ok = trial_f <= f[pending] - _ARMIJO * tau[pending] * slope[pending]
+            new_w[pending[ok]], new_f[pending[ok]], new_g[pending[ok]] = trial[ok], trial_f[ok], trial_g[ok]
+            pending = pending[~ok]
+            if not pending.size:
+                break
+            tau[pending] *= 0.5
+        s = new_w - w
+        y = new_g - new_w @ (new_g.conj().swapaxes(1, 2) @ new_w) - (g - w @ gw)
+        tau = np.clip(np.abs((s.conj() * y).real.sum(axis=(1, 2))) / np.maximum(_sq_norm(y), 1e-300), *_STEP_RANGE)
+        keep = (f - new_f > tol * f) & (new_f > _RANK_TOL)
+        keep[pending] = False
+        ws[live], values[live] = new_w, new_f
+        live, w, f, g, tau = live[keep], new_w[keep], new_f[keep], new_g[keep], tau[keep]
+    return ws, values
 
 
 def convex_roof_ensemble(rho: DensityMatrix, opt: Optional[OptimizerConfig] = None) -> tuple[float, Ensemble]:
@@ -271,8 +265,9 @@ def convex_roof_ensemble(rho: DensityMatrix, opt: Optional[OptimizerConfig] = No
     m = r^2 for rank r, which suffices for the roof (Uhlmann, Entropy 12,
     1799 (2010)); the eigenensemble is always among the candidates, so the
     result never exceeds the eigendecomposition average.  The value is an
-    upper bound on the exact roof.  Random restarts are refined as one stack;
-    each refinement pass sweeps rounds of row pairs that share no row.
+    upper bound on the exact roof.  The eigen start and the random restarts
+    descend as one stack to a loose stop; the best of them is then polished
+    to a tight stop.
     """
     value, members = _convex_roof(rho.matrix, opt)
     probs = (np.abs(members) ** 2).sum(axis=0)
@@ -288,18 +283,15 @@ def _convex_roof(m: np.ndarray, opt: Optional[OptimizerConfig]) -> tuple[float, 
     r = q.size
     b = eig.eigenvectors[:, keep] * np.sqrt(q)  # d x r, rho = b b†
 
-    (best_w,), (best_val,) = _refine_mixer(np.eye(r, dtype=np.complex128)[None], b, opt, _COARSE_STEP)
-
-    if best_val > _RANK_TOL:
-        # per restart: real part, then imaginary part, of an m x r Gaussian, m = r^2
-        g = np.random.default_rng(opt.seed).standard_normal((opt.restarts, 2, r * r, r))
-        ws, values = _refine_mixer(np.linalg.qr(g[:, 0] + 1j * g[:, 1])[0], b, opt, _COARSE_STEP)
-        for w, val in zip(ws, values):  # the first restart at or below _RANK_TOL ends the search
-            if best_val > _RANK_TOL and val < best_val:
-                best_val, best_w = val, w
-
-    if best_val > _RANK_TOL:  # polish the winner down to the fine step floor
-        (best_w,), (best_val,) = _refine_mixer(best_w[None], b, opt, _FINE_STEP)
+    # the eigen start, padded with zero rows to the restarts' m = r^2, then the restarts;
+    # per restart: real part, then imaginary part, of an m x r Gaussian
+    g = np.random.default_rng(opt.seed).standard_normal((opt.restarts, 2, r * r, r))
+    starts = np.concatenate((np.eye(r * r, r, dtype=np.complex128)[None], np.linalg.qr(g[:, 0] + 1j * g[:, 1])[0]))
+    if _roof_gradient(starts[0], b)[0] <= _RANK_TOL:  # the eigen ensemble is incoherent: no restart can beat it
+        starts = starts[:1]
+    ws, values = _descend(starts, b, min(opt.max_iterations, _LOOSE_ITERATIONS), _LOOSE_TOL)
+    best = np.argmin(values)  # the first of equal values: the eigen start wins ties
+    (best_w,), (best_val,) = _descend(ws[best : best + 1], b, opt.max_iterations, _TIGHT_TOL)
 
     members = b @ best_w.T
     probs = (np.abs(members) ** 2).sum(axis=0)
