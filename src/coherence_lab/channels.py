@@ -73,8 +73,11 @@ class KrausChannel:
 
 def _check_complete(ops: np.ndarray) -> None:
     """IncompleteChannelError unless sum_n K_n† K_n = I within COMPLETENESS_TOL
-    (Frobenius) for the Kraus set (n, d, d), or for each one in a stack (..., n, d, d)."""
-    defect = np.sqrt(numerics._squared_norms((dagger(ops) @ ops).sum(axis=-3) - np.eye(ops.shape[-1])))
+    (Frobenius) for the Kraus set (n, d, d), or for each one in a stack (..., n, d, d).
+    The sum is V† V of the operators stacked into one (..., n d, d) column block V."""
+    d = ops.shape[-1]
+    v = ops.reshape(*ops.shape[:-3], -1, d)
+    defect = np.sqrt(numerics._squared_norms(dagger(v) @ v - np.eye(d)))
     if (defect > COMPLETENESS_TOL).any():
         raise IncompleteChannelError(f"completeness defect {defect.max():.3e} exceeds 1e-10")
 

@@ -102,7 +102,8 @@ def _csv_row(report: h_mod.CriterionReport) -> str:
 
 
 def positive_int(text: str) -> int:
-    """argparse type of ``--jobs``: anything but an integer >= 1 is a usage error (exit 2)."""
+    """argparse type of ``--jobs``, the most worker processes ``int_rand``'s
+    convex roofs may use: anything but an integer >= 1 is a usage error (exit 2)."""
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
@@ -161,7 +162,8 @@ def _build_parser() -> argparse.ArgumentParser:
                 "ignores it and uses its fixed 1e-6 near-maximum window and 1e-3 membership tolerance, "
                 "and LEMMA2 and THEOREM3 decide CPOs with is_cpo's fixed rule (CPO_GRAM_RATIO 1e-8)")
     p_verify.add_argument("--tol", type=positive_float, default=None, help=tol_help)
-    p_verify.add_argument("--jobs", type=positive_int, default=1)
+    jobs_help = "worker processes (at most one per CPU) for int_rand's mixed states; others run serially"
+    p_verify.add_argument("--jobs", type=positive_int, default=1, help=jobs_help)
     p_verify.add_argument("--out", default=None)
     p_verify.add_argument("--format", choices=("json", "csv"), default="json")
 
@@ -170,7 +172,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_hunt.add_argument("--trials", type=int, default=100)
     p_hunt.add_argument("--seed", type=nonnegative_int, default=None)
     p_hunt.add_argument("--tol", type=positive_float, default=1e-8)
-    p_hunt.add_argument("--jobs", type=positive_int, default=1)
+    p_hunt.add_argument("--jobs", type=positive_int, default=1,
+                        help="accepted as for verify; hunt's skew searches run serially and ignore it")
     p_hunt.add_argument("--out", default=None)
 
     p_mcs = sub.add_parser("mcs", help="maximal-coherence membership and preparation")
@@ -188,8 +191,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_measure(args) -> int:
     rho = _load_density(args.state)
-    seed = args.seed if args.seed is not None else _default_seed()
-    opt = m_mod.OptimizerConfig(seed=seed)
+    opt = m_mod.OptimizerConfig(seed=args.seed)
     measure = m_mod.measure_by_name(args.measure, dim=rho.dim, opt=opt)
     value = measure.evaluate(rho)
     _dump({"measure": args.measure, "dim": rho.dim, "value": value}, args.out)
@@ -224,12 +226,11 @@ def _cmd_check_channel(args) -> int:
 
 def _cmd_verify(args) -> int:
     criteria = list(h_mod.CRITERIA) if args.criterion == "ALL" else [args.criterion]
-    seed = args.seed if args.seed is not None else _default_seed()
     tol = args.tol if args.tol is not None else h_mod.default_tol(args.measure or "l1")
     reports = []
     for criterion in criteria:
         trials = h_mod.CRITERIA[criterion].trials if args.trials is None else args.trials
-        cfg = h_mod.TrialConfig(dim=args.dim, n_trials=trials, seed=seed, tol=tol)
+        cfg = h_mod.TrialConfig(dim=args.dim, n_trials=trials, seed=args.seed, tol=tol)
         reports.append(h_mod.check_criterion(criterion, args.measure, cfg, args.jobs))
 
     _write_text(emit_reports(reports, args.format), args.out)
@@ -237,16 +238,15 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_hunt(args) -> int:
-    seed = args.seed if args.seed is not None else _default_seed()
     payload = {}
     found = False
     try:
-        witness_report = h_mod.skew_witness_report(args.dim, seed)
+        witness_report = h_mod.skew_witness_report(args.dim, args.seed)
         payload["skew_witness"] = witness_report.to_dict()
         found = True
     except BadDimError:
         payload["skew_witness"] = None
-    cfg = h_mod.TrialConfig(dim=args.dim, n_trials=args.trials, seed=seed, tol=args.tol)
+    cfg = h_mod.TrialConfig(dim=args.dim, n_trials=args.trials, seed=args.seed, tol=args.tol)
     c2 = h_mod.check_criterion("C2", "skew", cfg, args.jobs)
     lemma1 = h_mod.check_criterion("LEMMA1", "skew", cfg, args.jobs)
     payload["c2_search"] = c2.to_dict()
@@ -291,6 +291,8 @@ def run(argv) -> int:
         "mcs": _cmd_mcs,
     }
     try:
+        if getattr(args, "seed", 0) is None:  # the commands with a --seed default to COHERENCE_LAB_SEED
+            args.seed = _default_seed()
         return handlers[args.command](args)
     except _InputError as exc:
         print(f"error: {exc}", file=sys.stderr)

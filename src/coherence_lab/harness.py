@@ -2,12 +2,13 @@
 
 Each criterion runs seeded independent trials and aggregates them into a
 CriterionReport.  Trial randomness derives from (seed, trial index), so a
-report is a pure function of its TrialConfig: reruns and parallel runs
-produce bit-identical results.
+report is a pure function of its TrialConfig: reruns, and runs at any
+``jobs``, produce bit-identical results.
 
-Trials run in blocks of as many as fit STACK_BUDGET (``_block_rows``).  Each
-trial only draws its inputs as arrays from its own stream
-default_rng([seed, trial]), in the order it would draw them alone; the block
+Trials run serially, in blocks of as many as fit STACK_BUDGET
+(``_block_rows``); only ``int_rand``'s convex roofs may run in a process
+pool (``check_criterion``).  Each trial only draws its inputs as arrays from
+its own stream default_rng([seed, trial]), in the order it would draw them alone; the block
 seeds all its streams at once, builds the draws into stacks (states one per
 rank, Kraus sets one per block zero-padded to n_kraus_range[1] operators),
 and validates, maps and measures each stack once; the stacked kernels round
@@ -286,10 +287,10 @@ def _trial_rngs(cfg: TrialConfig, trials: range) -> list:
     return [np.random.Generator(np.random.PCG64(seed_words(w))) for w in _seed_words(cfg.seed, trials)]
 
 
-def _draw_state(rng: np.random.Generator, dim: int, measure_name: str) -> np.ndarray:
+def _draw_state(rng: np.random.Generator, dim: int, measure: Optional[Measure]) -> np.ndarray:
     """One trial's input: the amplitudes (d,) of a pure state, or the G (d, rank) of G G†/tr."""
     # int_rand fuzzing sticks to pure inputs, where the measure is exact.
-    if measure_name == "int_rand":
+    if measure is not None and measure.name == "int_rand":
         return st_mod._draw_pure(rng, dim)
     return st_mod._draw_gram(rng, dim, int(rng.integers(1, dim + 1)))
 
@@ -333,9 +334,8 @@ def _witness(m, before, after, channel=lambda i: None, aux=lambda i: None):
     )
 
 
-def _c1_block(measure_name: str, cfg: TrialConfig, trials: range) -> _Block:
-    measure = measure_by_name(measure_name, dim=cfg.dim)
-    m = _states([_draw_state(rng, cfg.dim, measure_name) for rng in _trial_rngs(cfg, trials)])
+def _c1_block(measure: Measure, cfg: TrialConfig, trials: range) -> _Block:
+    m = _states([_draw_state(rng, cfg.dim, measure) for rng in _trial_rngs(cfg, trials)])
     value = measure.evaluate(m)
     zero_value = measure.evaluate(dephase(m))
     mass = st_mod.off_diagonal_mass(m)
@@ -345,10 +345,9 @@ def _c1_block(measure_name: str, cfg: TrialConfig, trials: range) -> _Block:
     return _block(slack, slack < 0, witness)
 
 
-def _c2_block(measure_name: str, cfg: TrialConfig, trials: range) -> _Block:
-    measure = measure_by_name(measure_name, dim=cfg.dim)
+def _c2_block(measure: Measure, cfg: TrialConfig, trials: range) -> _Block:
     rngs = _trial_rngs(cfg, trials)
-    m = _states([_draw_state(rng, cfg.dim, measure_name) for rng in rngs])
+    m = _states([_draw_state(rng, cfg.dim, measure) for rng in rngs])
     ops, kraus = _draw_channels(rngs, cfg.dim, *cfg.n_kraus_range)
     before = measure.evaluate(m)
     after = measure.evaluate(ch_mod._kraus_sum(ops, m))
@@ -356,10 +355,9 @@ def _c2_block(measure_name: str, cfg: TrialConfig, trials: range) -> _Block:
     return _block(slack, slack < -cfg.tol, _witness(m, before, after, kraus))
 
 
-def _c3_block(measure_name: str, cfg: TrialConfig, trials: range) -> _Block:
-    measure = measure_by_name(measure_name, dim=cfg.dim)
+def _c3_block(measure: Measure, cfg: TrialConfig, trials: range) -> _Block:
     rngs = _trial_rngs(cfg, trials)
-    m = _states([_draw_state(rng, cfg.dim, measure_name) for rng in rngs])
+    m = _states([_draw_state(rng, cfg.dim, measure) for rng in rngs])
     ops, kraus = _draw_channels(rngs, cfg.dim, *cfg.n_kraus_range)
     kept, weights, branches = ch_mod._kraus_branches(ops, m)
     values = measure.evaluate(branches)
@@ -370,11 +368,10 @@ def _c3_block(measure_name: str, cfg: TrialConfig, trials: range) -> _Block:
     return _block(slack, slack < -cfg.tol, _witness(m, before, after, kraus))
 
 
-def _c4_block(measure_name: str, cfg: TrialConfig, trials: range) -> _Block:
-    measure = measure_by_name(measure_name, dim=cfg.dim)
+def _c4_block(measure: Measure, cfg: TrialConfig, trials: range) -> _Block:
     rngs = _trial_rngs(cfg, trials)
-    a = _states([_draw_state(rng, cfg.dim, measure_name) for rng in rngs])
-    b = _states([_draw_state(rng, cfg.dim, measure_name) for rng in rngs])
+    a = _states([_draw_state(rng, cfg.dim, measure) for rng in rngs])
+    b = _states([_draw_state(rng, cfg.dim, measure) for rng in rngs])
     lam = np.array([float(rng.uniform()) for rng in rngs])
     mixed = lam[:, None, None] * a + (1.0 - lam)[:, None, None] * b
     before = lam * measure.evaluate(a) + (1.0 - lam) * measure.evaluate(b)
@@ -388,10 +385,9 @@ def _c4_block(measure_name: str, cfg: TrialConfig, trials: range) -> _Block:
     return _block(slack, slack < -cfg.tol, _witness(mixed, before, after, aux=aux))
 
 
-def _lemma1_block(measure_name: str, cfg: TrialConfig, trials: range) -> _Block:
-    measure = measure_by_name(measure_name, dim=cfg.dim)
+def _lemma1_block(measure: Measure, cfg: TrialConfig, trials: range) -> _Block:
     rngs = _trial_rngs(cfg, trials)
-    m = _states([_draw_state(rng, cfg.dim, measure_name) for rng in rngs])
+    m = _states([_draw_state(rng, cfg.dim, measure) for rng in rngs])
     perms, moduli, phases = (a[:, 0] for a in ch_mod._draw_monomials(rngs, cfg.dim, [1] * len(rngs), relabel=True))
     u = ch_mod._monomials(perms, moduli, phases)
     before = measure.evaluate(m)
@@ -400,11 +396,11 @@ def _lemma1_block(measure_name: str, cfg: TrialConfig, trials: range) -> _Block:
     return _block(slack, slack < 0, _witness(m, before, after, lambda i: IncoherentUnitary(perms[i], phases[i])))
 
 
-def _lemma2_block(measure_name: str, cfg: TrialConfig, trials: range) -> _Block:
+def _lemma2_block(measure: None, cfg: TrialConfig, trials: range) -> _Block:
     rngs = _trial_rngs(cfg, trials)
     # Half the inputs are maximally coherent, half generic.
     m = _states([
-        mcs_mod._draw_mcs(rng, cfg.dim) if t % 2 == 0 else _draw_state(rng, cfg.dim, "any")
+        mcs_mod._draw_mcs(rng, cfg.dim) if t % 2 == 0 else _draw_state(rng, cfg.dim, None)
         for t, rng in zip(trials, rngs)
     ])
     # A quarter of the channels are CPOs so the allowed branch gets exercised.
@@ -440,7 +436,7 @@ def _panel_deviation(probes: np.ndarray, ops: np.ndarray) -> np.ndarray:
     return np.maximum(l1_dev, rel_ent_dev).max(axis=1)
 
 
-def _theorem3_block(measure_name: str, cfg: TrialConfig, trials: range) -> _Block:
+def _theorem3_block(measure: None, cfg: TrialConfig, trials: range) -> _Block:
     probes = _probe_panel(cfg.dim, cfg.seed, PROBE_COUNT)
     rngs = _trial_rngs(cfg, trials)
     lo, hi = cfg.n_kraus_range
@@ -478,31 +474,10 @@ def _block_rows(criterion: str, cfg: TrialConfig) -> int:
     return max(1, STACK_BUDGET // (entries if criterion == "C5" else max(entries, 64)))
 
 
-def _run_chunk(criterion: str, measure_name: str, cfg: TrialConfig, lo: int, hi: int):
-    fn = CRITERIA[criterion].block  # looked up by name: workers get the name, not a closure
-    rows = _block_rows(criterion, cfg)
-    return [fn(measure_name, cfg, range(a, min(a + rows, hi))) for a in range(lo, hi, rows)]
-
-
-def _pool_size(jobs: int, cpus: int, n_chunks: int) -> int:
-    """Workers to start: the pool forks them all at once, so never more than the CPUs or chunks."""
-    return min(jobs, cpus, n_chunks)
-
-
-def _run_trials(criterion: str, measure_name: str, cfg: TrialConfig, jobs: int):
-    bounds = np.linspace(0, cfg.n_trials, num=min(jobs * 4, cfg.n_trials) + 1, dtype=int)
-    chunks = [(int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:]) if a < b]
-    workers = _pool_size(jobs, os.cpu_count() or 1, len(chunks))
-    if workers == 1:
-        return _run_chunk(criterion, measure_name, cfg, 0, cfg.n_trials)
-    from concurrent.futures import ProcessPoolExecutor  # here, so that runs without a pool never load it
-
-    blocks = []
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(_run_chunk, criterion, measure_name, cfg, a, b) for a, b in chunks]
-        for fut in futures:  # submission order == trial order
-            blocks.extend(fut.result())
-    return blocks
+def _run_trials(criterion: str, measure: Optional[Measure], cfg: TrialConfig) -> list:
+    """The blocks of a criterion's trials, run one after another in trial order."""
+    fn, rows = CRITERIA[criterion].block, _block_rows(criterion, cfg)
+    return [fn(measure, cfg, range(a, min(a + rows, cfg.n_trials))) for a in range(0, cfg.n_trials, rows)]
 
 
 # ---------------------------------------------------------------------------
@@ -577,7 +552,7 @@ def _ascend(measure: Measure, w: np.ndarray, floor=1e-9, max_rounds=50):
         moved[k] = hit
 
 
-def _c5_block(measure: str, cfg: TrialConfig) -> tuple[_Block, float]:
+def _c5_block(measure: Measure, cfg: TrialConfig) -> tuple[_Block, float]:
     """Maximize the measure over pure states from ``cfg.n_trials`` restarts
     and test that every near-maximal state found is maximally coherent.
 
@@ -594,11 +569,10 @@ def _c5_block(measure: str, cfg: TrialConfig) -> tuple[_Block, float]:
     advisory: its mixed-state branch is an optimizer upper bound, and the
     search runs over pure states where it coincides with ``rel_ent``.
     """
-    m = measure_by_name(measure, dim=cfg.dim)
     rng = np.random.default_rng([cfg.seed, 424243])
     starts = rng.dirichlet(np.ones(cfg.dim), size=cfg.n_trials)
     rows = _block_rows("C5", cfg)
-    ascents = [_ascend(m, starts[b : b + rows]) for b in range(0, len(starts), rows)]
+    ascents = [_ascend(measure, starts[b : b + rows]) for b in range(0, len(starts), rows)]
     vals = np.concatenate([val for _, val in ascents])
     best_val = float(vals.max())
     near = np.flatnonzero(vals >= best_val - C5_NEAR_MAX_WINDOW)
@@ -676,8 +650,9 @@ def _c4_values(w: ViolationWitness, measure: Measure):
 class Criterion:
     """What the harness knows about one criterion.
 
-    ``block(measure_name, cfg, trials)`` evaluates a block of trials; C5 has
-    none, since its restarts ascend together.  ``witness_values(witness,
+    ``block(measure, cfg, trials)`` evaluates a block of trials, given the
+    Measure under test (None for LEMMA2 and THEOREM3); C5 has none, since its
+    restarts ascend together.  ``witness_values(witness,
     measure)`` recomputes a witness's (value_before, value_after).
     ``measure`` is the report's fixed measure label, None where the caller
     names the measure (the re-evaluator then gets measure None).  ``trials``
@@ -708,7 +683,9 @@ def check_criterion(
     """Run one criterion of ``CRITERIA`` with ``cfg.n_trials`` trials (C5: restarts).
 
     ``measure`` names the measure under test; LEMMA2 and THEOREM3 test
-    channels and report their fixed label whatever it is.  Raises
+    channels and report their fixed label whatever it is.  ``jobs`` sizes the
+    process pool, min(jobs, CPUs) workers, that runs ``int_rand``'s mixed rows;
+    every other run, and any run where that minimum is 1, is serial.  Raises
     BadParamsError on an unknown criterion, a missing measure or jobs < 1.
     """
     entry = CRITERIA.get(criterion)
@@ -719,11 +696,20 @@ def check_criterion(
         raise BadParamsError(f"criterion {criterion} needs a measure")
     if not (is_integer(jobs) and jobs >= 1):
         raise BadParamsError(f"jobs must be an integer >= 1, got {jobs!r}")
+    measure = None if entry.measure else measure_by_name(label, dim=cfg.dim)
+    workers = min(jobs, os.cpu_count() or 1)
     if entry.block is None:
-        block, max_value = _c5_block(label, cfg)
+        block, max_value = _c5_block(measure, cfg)
         blocks = [block]
+    elif label == "int_rand" and workers > 1:
+        from concurrent.futures import ProcessPoolExecutor  # here, so that runs without a pool never load it
+
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            # measure_by_name's int_rand (no optimizer config), its mixed rows one task each
+            pooled = dataclasses.replace(measure, evaluate=lambda rho: m_mod._int_rand(rho, None, pool.map))
+            blocks, max_value = _run_trials(criterion, pooled, cfg), None
     else:
-        blocks, max_value = _run_trials(criterion, label, cfg, jobs), None
+        blocks, max_value = _run_trials(criterion, measure, cfg), None
     slack = np.concatenate([b.slack for b in blocks])
     counted = np.concatenate([b.counted for b in blocks])
     violation = np.concatenate([b.violation for b in blocks])

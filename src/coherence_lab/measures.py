@@ -307,16 +307,23 @@ def c_int_rand(rho: DensityMatrix | np.ndarray, opt: Optional[OptimizerConfig] =
     """Intrinsic randomness: rel_ent on pure states, convex-roof estimate otherwise.
 
     On a stack, the pure matrices go through ``c_rel_ent`` together and the
-    optimizer runs on the mixed ones one at a time.
+    optimizer runs on the mixed ones one after another, in row order.
     """
+    return _int_rand(rho, opt, map)
+
+
+def _int_rand(rho: DensityMatrix | np.ndarray, opt: Optional[OptimizerConfig], map_rows: Callable):
+    """``c_int_rand`` with its mixed rows' ``_convex_roof`` calls made by ``map_rows(fn, rows,
+    opts)`` in row order: the builtin ``map`` or a process pool's, which give the same values,
+    since each call is a pure function of its row and ``opt``."""
     m = density_matrices(rho)
     flat = m.reshape(-1, *m.shape[-2:])
     pure = states._purity(flat) >= 1.0 - 1e-10
     values = np.empty(len(flat))
     if pure.any():
         values[pure] = c_rel_ent(flat[pure])
-    for i in np.flatnonzero(~pure):
-        values[i], _ = _convex_roof(flat[i], opt)
+    mixed = flat[~pure]
+    values[~pure] = [value for value, _ in map_rows(_convex_roof, mixed, [opt] * len(mixed))]
     return values.reshape(m.shape[:-2])[()]
 
 

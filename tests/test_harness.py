@@ -1,12 +1,17 @@
 import dataclasses
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import coherence_lab
 from coherence_lab import channels as ch_mod
 from coherence_lab import harness
 from coherence_lab import mcs as mcs_mod
@@ -35,7 +40,6 @@ from coherence_lab.harness import (
     check_criterion,
     _ascend,
     _panel_deviation,
-    _pool_size,
     _probe_panel,
     reevaluate_witness,
     report_from_dict,
@@ -169,11 +173,21 @@ def test_reports_are_deterministic():
     assert c.to_dict() == d.to_dict()
 
 
-def test_parallel_runs_match_sequential():
+# int_rand's mixed rows are the one work --jobs sends to a pool: C1 measures dephased states,
+# C2 channel outputs and C4 mixtures, each with some rows to optimize at d = 2 and 3
+INT_RAND_CASES = [(criterion, dim) for criterion in ("C1", "C2", "C4") for dim in (2, 3)]
+
+
+def test_parallel_runs_match_sequential(monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)  # so that jobs=2 starts a pool on any machine
     cfg = small_cfg(n=40, seed=3)
     seq = check_criterion("C3", "l1", cfg, jobs=1)
     par = check_criterion("C3", "l1", cfg, jobs=2)
     assert seq.to_dict() == par.to_dict()
+    for criterion, dim in INT_RAND_CASES:
+        cfg = small_cfg(dim=dim, n=5, seed=3)
+        seq = check_criterion(criterion, "int_rand", cfg, jobs=1)
+        assert seq.to_dict() == check_criterion(criterion, "int_rand", cfg, jobs=2).to_dict()
 
 
 @settings(max_examples=12, deadline=None)
@@ -184,6 +198,12 @@ def test_parallel_runs_match_sequential():
     n=st.integers(1, 24),
     seed=st.integers(0, 2**16),
 )
+@example(criterion="C1", measure="int_rand", dim=2, n=3, seed=7)
+@example(criterion="C1", measure="int_rand", dim=3, n=3, seed=8)
+@example(criterion="C2", measure="int_rand", dim=2, n=3, seed=9)
+@example(criterion="C2", measure="int_rand", dim=3, n=3, seed=10)
+@example(criterion="C4", measure="int_rand", dim=2, n=3, seed=11)
+@example(criterion="C4", measure="int_rand", dim=3, n=3, seed=12)
 def test_jobs_do_not_change_reports(criterion, measure, dim, n, seed):
     cfg = small_cfg(dim=dim, n=n, seed=seed)
     one = check_criterion(criterion, measure, cfg, jobs=1)
@@ -213,10 +233,10 @@ def test_stacked_sampler_matches_the_public_constructors(dim):
     the public constructors and maps give one trial at a time."""
     cfg = small_cfg(dim=dim, n=64, seed=29)
     rngs = harness._trial_rngs(cfg, range(cfg.n_trials))
-    states = [harness._draw_state(rng, dim, "l1") for rng in rngs]
+    states = [harness._draw_state(rng, dim, measure_by_name("l1")) for rng in rngs]
     ops, kraus = harness._draw_channels(rngs, dim, *cfg.n_kraus_range)
     perms, moduli, phases = ch_mod._draw_monomials(rngs, dim, [1] * len(rngs), relabel=True)
-    pures = [harness._draw_state(rng, dim, "int_rand") for rng in rngs]
+    pures = [harness._draw_state(rng, dim, measure_by_name("int_rand")) for rng in rngs]
     mcss = [mcs_mod._draw_mcs(rng, dim) for rng in rngs]
     ref = [
         (
@@ -256,7 +276,7 @@ def test_stacked_sampler_matches_the_public_constructors(dim):
 def test_stack_validation_bites(monkeypatch):
     cfg = small_cfg(dim=4, n=12, seed=3)
     rngs = harness._trial_rngs(cfg, range(cfg.n_trials))
-    states = [harness._draw_state(rng, cfg.dim, "l1") for rng in rngs]
+    states = [harness._draw_state(rng, cfg.dim, measure_by_name("l1")) for rng in rngs]
     gram_states, monomials = st_mod._gram_states, ch_mod._monomials
 
     for defect, error in ((np.array([[0.0, 1e-3], [0.0, 0.0]]), NonHermitianError),
@@ -376,7 +396,7 @@ def test_channel_blocks_match_the_per_trial_reference(criterion, loose_tol, dim,
     counted flag of each trial evaluated alone through the public API."""
     cfg = small_cfg(dim=dim, n=40, seed=seed, **({"tol": loose_tol} if loose else {}))
     monkeypatch.setattr(harness, "STACK_BUDGET", 7 * _row_entries(criterion, cfg))  # 7 trials a block
-    blocks = harness._run_trials(criterion, harness.CRITERIA[criterion].measure, cfg, jobs=1)
+    blocks = harness._run_trials(criterion, None, cfg)
     probes = _probe_panel(dim, seed, harness.PROBE_COUNT)
     ref = [
         _lemma2_trial(rng, t, cfg) if criterion == "LEMMA2" else _theorem3_trial(rng, cfg, probes)
@@ -388,7 +408,7 @@ def test_channel_blocks_match_the_per_trial_reference(criterion, loose_tol, dim,
 
 
 def _counted(criterion, cfg):
-    blocks = harness._run_trials(criterion, harness.CRITERIA[criterion].measure, cfg, jobs=1)
+    blocks = harness._run_trials(criterion, None, cfg)
     return np.concatenate([b.counted for b in blocks])
 
 
@@ -406,11 +426,56 @@ def test_cpo_verdicts_do_not_depend_on_tol(dim, seed, monkeypatch):
     assert _same_bits(lemma2[0], lemma2[1])
 
 
-def test_pool_size_is_capped_by_cpus_and_chunks():
-    assert _pool_size(jobs=1, cpus=8, n_chunks=40) == 1
-    assert _pool_size(jobs=4, cpus=8, n_chunks=40) == 4
-    assert _pool_size(jobs=10**6, cpus=2, n_chunks=40) == 2
-    assert _pool_size(jobs=10**6, cpus=64, n_chunks=3) == 3
+def test_pool_workers_are_capped_by_cpus(monkeypatch):
+    """int_rand's pool holds min(jobs, CPUs) workers, is opened only when that is above 1,
+    maps its mixed rows, and leaves the report as it is serially; other measures open none."""
+    import concurrent.futures
+
+    pools = []  # (max_workers, rows mapped) of each pool opened
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            pools.append([max_workers, 0])
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, rows, *args):
+            pools[-1][1] += len(rows)
+            return map(fn, rows, *args)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    cfg = small_cfg(dim=2, n=4, seed=1)
+    serial = check_criterion("C2", "int_rand", cfg).to_dict()
+    for cpus, jobs, workers in [(8, 1, None), (8, 4, 4), (2, 10**6, 2), (64, 3, 3), (1, 4, None), (None, 4, None)]:
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        pools.clear()
+        assert check_criterion("C2", "int_rand", cfg, jobs=jobs).to_dict() == serial
+        assert [size for size, _ in pools] == ([] if workers is None else [workers])
+        assert all(rows > 0 for _, rows in pools)
+    pools.clear()
+    for measure in ("l1", "rel_ent", "skew", "trivial"):
+        check_criterion("C2", measure, cfg, jobs=4)
+    assert pools == []
+
+
+def test_runs_without_int_rand_do_not_load_the_process_pool():
+    # every criterion and measure but int_rand at jobs=2, with 2 CPUs to be had: no pool, no pool modules
+    env = {**os.environ, "PYTHONPATH": str(Path(coherence_lab.__file__).parents[1])}
+    code = """if True:
+        import os, sys
+        os.cpu_count = lambda: 2
+        from coherence_lab.harness import CRITERIA, TrialConfig, check_criterion
+        for criterion in CRITERIA:
+            for measure in ("l1", "rel_ent", "skew", "trivial"):
+                check_criterion(criterion, measure, TrialConfig(dim=3, n_trials=4), jobs=2)
+        print(sorted(m for m in sys.modules if m.startswith(("concurrent", "multiprocessing"))))
+    """
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 @pytest.mark.parametrize("jobs", [0, -3, 1.5, 2.0, True, "2"])
@@ -494,7 +559,7 @@ def test_lemma2_no_violations_and_exercises_cpo_branch():
     assert report.violations == 0
     # some trials are exempt (CPO on MCS input): the block marks them, and their slack does not count
     assert report.trials == 200
-    blocks = harness._run_trials("LEMMA2", "none", small_cfg(n=400), jobs=1)
+    blocks = harness._run_trials("LEMMA2", None, small_cfg(n=400))
     assert sum(int(np.count_nonzero(~b.counted)) for b in blocks) == 82
 
 
@@ -787,6 +852,7 @@ def test_a_full_block_stays_within_a_few_budgets(criterion, measure, dim):
     complex entries: 1.2 to 6.1 at these shapes, against a bound of 12."""
     rows = harness._block_rows(criterion, small_cfg(dim=dim))
     cfg = small_cfg(dim=dim, n=rows)
+    measure = measure and measure_by_name(measure, dim=dim)
     tracemalloc.start()
     try:
         if criterion == "C5":
