@@ -258,8 +258,7 @@ def is_cpo(ch: KrausChannel | np.ndarray, tol: float = INCOHERENT_ENTRY_TOL):
 
 def random_incoherent_unitary(dim: int, seed) -> IncoherentUnitary:
     """Uniformly random relabeling with uniform phases."""
-    if dim < 2:
-        raise BadParamsError("dim must be >= 2")
+    dim = numerics.checked_dim(dim)
     perms, _, phases = _draw_monomials([np.random.default_rng(seed)], dim, [1], relabel=True)
     return IncoherentUnitary(perms[0, 0], phases[0, 0])
 
@@ -273,8 +272,9 @@ def random_incoherent_channel(dim: int, n_kraus: int, seed) -> KrausChannel:
     injective is what lets independently drawn phases coexist with an exact
     completeness relation.
     """
-    if dim < 2 or n_kraus < 1:
-        raise BadParamsError(f"need dim >= 2 and n_kraus >= 1, got {dim}, {n_kraus}")
+    dim = numerics.checked_dim(dim)
+    if n_kraus < 1:
+        raise BadParamsError(f"need n_kraus >= 1, got {n_kraus}")
     draw = _draw_monomials([np.random.default_rng(seed)], dim, [n_kraus], n_kraus)
     return KrausChannel(tuple(_monomials(*draw)[0]))
 

@@ -238,6 +238,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_hunt(args) -> int:
+    cfg = h_mod.TrialConfig(dim=args.dim, n_trials=args.trials, seed=args.seed, tol=args.tol)
     payload = {}
     found = False
     try:
@@ -246,7 +247,6 @@ def _cmd_hunt(args) -> int:
         found = True
     except BadDimError:
         payload["skew_witness"] = None
-    cfg = h_mod.TrialConfig(dim=args.dim, n_trials=args.trials, seed=args.seed, tol=args.tol)
     c2 = h_mod.check_criterion("C2", "skew", cfg, args.jobs)
     lemma1 = h_mod.check_criterion("LEMMA1", "skew", cfg, args.jobs)
     payload["c2_search"] = c2.to_dict()

@@ -7,16 +7,17 @@ report is a pure function of its TrialConfig: reruns, and runs at any
 
 Trials run serially, in blocks of as many as fit STACK_BUDGET
 (``_block_rows``); only ``int_rand``'s convex roofs may run in a process
-pool (``check_criterion``).  Each trial only draws its inputs as arrays from
-its own stream default_rng([seed, trial]), in the order it would draw them alone; the block
-seeds all its streams at once, builds the draws into stacks (states one per
-rank, Kraus sets one per block zero-padded to n_kraus_range[1] operators),
-and validates, maps and measures each stack once; the stacked kernels round
-every row as they round one matrix.  ``is_cpo`` decides a Kraus stack in one
-call, at its fixed Gram ratio, whatever ``tol``.  Objects are built for the
-witness only.  THEOREM3 draws a channel and a relabeling per trial and
-measures the probe panel of each stack at once; a trial whose channel is a
-CPO is inconclusive.
+pool (``check_criterion``).  ``_blocks`` seeds a block's streams
+default_rng([seed, trial]) at once; each trial only draws its inputs as
+arrays from its own stream, in the order it would draw them alone.  The block
+builds the draws into stacks (states one per rank, Kraus sets one per block
+zero-padded to n_kraus_range[1] operators), validates, maps and measures each
+stack once, and returns one row per trial; the stacked kernels round every
+row as they round one matrix.  ``is_cpo`` decides a Kraus stack in one call,
+at its fixed Gram ratio, whatever ``tol``.  THEOREM3 draws a channel and a
+relabeling per trial and measures the probe panel of each stack at once; a
+trial whose channel is a CPO is inconclusive.  ``_rows`` streams the blocks
+into the report, whose one witness is the violating row of least slack.
 
 Criteria: the keys of ``CRITERIA``, each run by ``check_criterion``
 -------------------------------------------------------------------
@@ -193,19 +194,23 @@ class CriterionReport:
 
 
 def report_from_dict(payload: dict) -> CriterionReport:
-    """Parse a report's JSON form; BadPayloadError when it is malformed."""
+    """Parse a report's JSON form: BadDimError on a bad ``dim``, as for a state,
+    and BadPayloadError on anything else malformed."""
     try:
-        witness = payload.get("witness")
+        trials, violations, seed = payload["trials"], payload["violations"], payload["seed"]
+        if not all(map(is_integer, (trials, violations, seed))):
+            raise TypeError("trials, violations and seed must be integers")
+        witness, max_value = payload.get("witness"), payload.get("max_value")
         return CriterionReport(
             criterion=payload["criterion"],
             measure=payload["measure"],
-            dim=int(payload["dim"]),
-            trials=int(payload["trials"]),
-            violations=int(payload["violations"]),
+            dim=checked_dim(payload["dim"]),
+            trials=int(trials),
+            violations=int(violations),
             worst_violation=float(payload["worst_violation"]),
             witness=None if witness is None else witness_from_dict(witness),
-            seed=int(payload["seed"]),
-            max_value=payload.get("max_value"),
+            seed=int(seed),
+            max_value=None if max_value is None else float(max_value),
         )
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise BadPayloadError(f"malformed report payload: {exc}") from exc
@@ -214,30 +219,6 @@ def report_from_dict(payload: dict) -> CriterionReport:
 # ---------------------------------------------------------------------------
 # trial plumbing
 # ---------------------------------------------------------------------------
-
-
-@dataclasses.dataclass(frozen=True)
-class _Block:
-    """Outcomes of consecutive trials, one row each.
-
-    ``slack[i]`` is the signed slack of row i and counts only where
-    ``counted[i]`` (an exempt or inconclusive trial yields none).
-    ``witness`` is the witness of the violating row of least slack, the
-    first one on ties, and None when no row violates.
-    """
-
-    slack: np.ndarray
-    counted: np.ndarray
-    violation: np.ndarray
-    witness: Optional[ViolationWitness]
-
-
-def _block(slack, violation, make_witness, counted=None) -> _Block:
-    """Pack a block's rows; ``make_witness(i)`` builds row i's witness, and is
-    called for the one row that ``_Block.witness`` keeps."""
-    rows = np.flatnonzero(violation)
-    witness = make_witness(rows[np.argmin(slack[rows])]) if rows.size else None
-    return _Block(slack, np.ones(len(slack), dtype=bool) if counted is None else counted, violation, witness)
 
 
 @lru_cache(maxsize=1)
@@ -334,29 +315,27 @@ def _witness(m, before, after, channel=lambda i: None, aux=lambda i: None):
     )
 
 
-def _c1_block(measure: Measure, cfg: TrialConfig, trials: range) -> _Block:
-    m = _states([_draw_state(rng, cfg.dim, measure) for rng in _trial_rngs(cfg, trials)])
+def _c1_block(measure: Measure, cfg: TrialConfig, trials: range, rngs: list) -> tuple:
+    m = _states([_draw_state(rng, cfg.dim, measure) for rng in rngs])
     value = measure.evaluate(m)
     zero_value = measure.evaluate(dephase(m))
     mass = st_mod.off_diagonal_mass(m)
     slack = C1_ZERO_TOL - zero_value
     slack = np.where(mass > C1_MASS_FLOOR, np.minimum(slack, value - C1_VALUE_FLOOR), slack)
     witness = _witness(m, value, zero_value, aux=lambda i: {"off_diagonal_mass": float(mass[i])})
-    return _block(slack, slack < 0, witness)
+    return slack, slack < 0, witness, None
 
 
-def _c2_block(measure: Measure, cfg: TrialConfig, trials: range) -> _Block:
-    rngs = _trial_rngs(cfg, trials)
+def _c2_block(measure: Measure, cfg: TrialConfig, trials: range, rngs: list) -> tuple:
     m = _states([_draw_state(rng, cfg.dim, measure) for rng in rngs])
     ops, kraus = _draw_channels(rngs, cfg.dim, *cfg.n_kraus_range)
     before = measure.evaluate(m)
     after = measure.evaluate(ch_mod._kraus_sum(ops, m))
     slack = before - after
-    return _block(slack, slack < -cfg.tol, _witness(m, before, after, kraus))
+    return slack, slack < -cfg.tol, _witness(m, before, after, kraus), None
 
 
-def _c3_block(measure: Measure, cfg: TrialConfig, trials: range) -> _Block:
-    rngs = _trial_rngs(cfg, trials)
+def _c3_block(measure: Measure, cfg: TrialConfig, trials: range, rngs: list) -> tuple:
     m = _states([_draw_state(rng, cfg.dim, measure) for rng in rngs])
     ops, kraus = _draw_channels(rngs, cfg.dim, *cfg.n_kraus_range)
     kept, weights, branches = ch_mod._kraus_branches(ops, m)
@@ -365,11 +344,10 @@ def _c3_block(measure: Measure, cfg: TrialConfig, trials: range) -> _Block:
     after = np.zeros(len(trials))
     np.add.at(after, np.nonzero(kept)[0], weights * values)  # each trial's branches in order, as it adds them alone
     slack = before - after
-    return _block(slack, slack < -cfg.tol, _witness(m, before, after, kraus))
+    return slack, slack < -cfg.tol, _witness(m, before, after, kraus), None
 
 
-def _c4_block(measure: Measure, cfg: TrialConfig, trials: range) -> _Block:
-    rngs = _trial_rngs(cfg, trials)
+def _c4_block(measure: Measure, cfg: TrialConfig, trials: range, rngs: list) -> tuple:
     a = _states([_draw_state(rng, cfg.dim, measure) for rng in rngs])
     b = _states([_draw_state(rng, cfg.dim, measure) for rng in rngs])
     lam = np.array([float(rng.uniform()) for rng in rngs])
@@ -382,22 +360,20 @@ def _c4_block(measure: Measure, cfg: TrialConfig, trials: range) -> _Block:
         a_i, b_i = (DensityMatrix(x[i], check_psd=False).to_dict() for x in (a, b))
         return {"state_a": a_i, "state_b": b_i, "lam": float(lam[i])}
 
-    return _block(slack, slack < -cfg.tol, _witness(mixed, before, after, aux=aux))
+    return slack, slack < -cfg.tol, _witness(mixed, before, after, aux=aux), None
 
 
-def _lemma1_block(measure: Measure, cfg: TrialConfig, trials: range) -> _Block:
-    rngs = _trial_rngs(cfg, trials)
+def _lemma1_block(measure: Measure, cfg: TrialConfig, trials: range, rngs: list) -> tuple:
     m = _states([_draw_state(rng, cfg.dim, measure) for rng in rngs])
     perms, moduli, phases = (a[:, 0] for a in ch_mod._draw_monomials(rngs, cfg.dim, [1] * len(rngs), relabel=True))
     u = ch_mod._monomials(perms, moduli, phases)
     before = measure.evaluate(m)
     after = measure.evaluate(u @ m @ dagger(u))
     slack = cfg.tol - np.abs(after - before)
-    return _block(slack, slack < 0, _witness(m, before, after, lambda i: IncoherentUnitary(perms[i], phases[i])))
+    return slack, slack < 0, _witness(m, before, after, lambda i: IncoherentUnitary(perms[i], phases[i])), None
 
 
-def _lemma2_block(measure: None, cfg: TrialConfig, trials: range) -> _Block:
-    rngs = _trial_rngs(cfg, trials)
+def _lemma2_block(measure: None, cfg: TrialConfig, trials: range, rngs: list) -> tuple:
     # Half the inputs are maximally coherent, half generic.
     m = _states([
         mcs_mod._draw_mcs(rng, cfg.dim) if t % 2 == 0 else _draw_state(rng, cfg.dim, None)
@@ -409,7 +385,7 @@ def _lemma2_block(measure: None, cfg: TrialConfig, trials: range) -> _Block:
     # a CPO acting on a maximally coherent input is exempt
     counted = ~is_cpo(ops) | (before > cfg.tol)
     slack = after - cfg.tol
-    return _block(slack, counted & (slack < 0), _witness(m, before, after, kraus), counted)
+    return slack, counted & (slack < 0), _witness(m, before, after, kraus), counted
 
 
 @lru_cache(maxsize=16)
@@ -436,9 +412,8 @@ def _panel_deviation(probes: np.ndarray, ops: np.ndarray) -> np.ndarray:
     return np.maximum(l1_dev, rel_ent_dev).max(axis=1)
 
 
-def _theorem3_block(measure: None, cfg: TrialConfig, trials: range) -> _Block:
+def _theorem3_block(measure: None, cfg: TrialConfig, trials: range, rngs: list) -> tuple:
     probes = _probe_panel(cfg.dim, cfg.seed, PROBE_COUNT)
-    rngs = _trial_rngs(cfg, trials)
     lo, hi = cfg.n_kraus_range
     ops, kraus = _draw_channels(rngs, cfg.dim, max(2, lo), max(2, hi))
     perms, moduli, phases = ch_mod._draw_monomials(rngs, cfg.dim, [1] * len(rngs), relabel=True)
@@ -459,7 +434,7 @@ def _theorem3_block(measure: None, cfg: TrialConfig, trials: range) -> _Block:
         before = float(m_mod.l1_pure(np.abs(probes[0]) ** 2))
         return ViolationWitness(probe, offender, before, float(m_mod.c_l1(out)), aux)
 
-    return _block(slack, counted & (masquerade | (cpo_dev > CPO_PRESERVE_TOL)), witness, counted)
+    return slack, counted & (masquerade | (cpo_dev > CPO_PRESERVE_TOL)), witness, counted
 
 
 def _block_rows(criterion: str, cfg: TrialConfig) -> int:
@@ -474,10 +449,29 @@ def _block_rows(criterion: str, cfg: TrialConfig) -> int:
     return max(1, STACK_BUDGET // (entries if criterion == "C5" else max(entries, 64)))
 
 
-def _run_trials(criterion: str, measure: Optional[Measure], cfg: TrialConfig) -> list:
-    """The blocks of a criterion's trials, run one after another in trial order."""
+def _blocks(criterion: str, measure: Optional[Measure], cfg: TrialConfig):
+    """The rows of each block of a criterion's trials, one block after another in trial order."""
     fn, rows = CRITERIA[criterion].block, _block_rows(criterion, cfg)
-    return [fn(measure, cfg, range(a, min(a + rows, cfg.n_trials))) for a in range(0, cfg.n_trials, rows)]
+    for start in range(0, cfg.n_trials, rows):
+        trials = range(start, min(start + rows, cfg.n_trials))
+        yield fn(measure, cfg, trials, _trial_rngs(cfg, trials))
+
+
+def _rows(blocks) -> tuple:
+    """The rows ``(slack, counted, violation)`` of a check's blocks, each concatenated, and its witness.
+
+    The witness is that of the violating row of least slack, the first one on
+    ties: a block's ``make_witness`` runs once, for its own such row, and only
+    where that row's slack is strictly below every earlier block's."""
+    rows, witness, least = [], None, None
+    for slack, violation, make_witness, counted in blocks:
+        rows.append((slack, np.ones(len(slack), dtype=bool) if counted is None else counted, violation))
+        violating = np.flatnonzero(violation)
+        if violating.size:
+            i = violating[np.argmin(slack[violating])]
+            if least is None or slack[i] < least:
+                least, witness = slack[i], make_witness(i)
+    return (*map(np.concatenate, zip(*rows)), witness)
 
 
 # ---------------------------------------------------------------------------
@@ -552,7 +546,7 @@ def _ascend(measure: Measure, w: np.ndarray, floor=1e-9, max_rounds=50):
         moved[k] = hit
 
 
-def _c5_block(measure: Measure, cfg: TrialConfig) -> tuple[_Block, float]:
+def _c5_block(measure: Measure, cfg: TrialConfig) -> tuple[tuple, float]:
     """Maximize the measure over pure states from ``cfg.n_trials`` restarts
     and test that every near-maximal state found is maximally coherent.
 
@@ -562,8 +556,10 @@ def _c5_block(measure: Measure, cfg: TrialConfig) -> tuple[_Block, float]:
     ascend together, each on its own trajectory, in blocks whose ascent
     pass, d(d-1) points of d per restart, fits STACK_BUDGET.
     Near-maximal means within 1e-6 of the best value; membership is tested
-    at tolerance 1e-3.  Returns the block of near-maximal states and the best
-    value.  A FAIL report (violations > 0) carries a witness state
+    at tolerance 1e-3.  Returns the rows of the near-maximal states, one
+    block as ``Criterion.block`` returns it (every row counts), and the best
+    value.  It seeds its own stream, default_rng([seed, 424243]), for the
+    starts of all the restarts.  A FAIL report (violations > 0) carries a witness state
     attaining the maximum while not being maximally coherent, which is what
     the 0/1 ``trivial`` measure produces.  For ``int_rand`` the verdict is
     advisory: its mixed-state branch is an optimizer upper bound, and the
@@ -581,7 +577,7 @@ def _c5_block(measure: Measure, cfg: TrialConfig) -> tuple[_Block, float]:
     deviation = mcs_deviation(rhos)
     slack = C5_MCS_TOL - deviation
     witness = _witness(rhos, vals[near], deviation, aux=lambda i: {"max_value": best_val})
-    return _block(slack, slack < 0, witness), best_val
+    return (slack, slack < 0, witness, None), best_val
 
 
 # ---------------------------------------------------------------------------
@@ -597,9 +593,9 @@ def skew_violation_witness(dim: int) -> ViolationWitness:
     whichever direction of the relabeling increases the value.  For d = 3
     the recorded values are 17/36 before and 5/9 after.  d = 2 has no such
     counterexample (the single-pair closed form is permutation symmetric),
-    so dim must be at least 3.
+    so dim must be an integer in 3..16 (BadDimError otherwise).
     """
-    if dim < 3:
+    if checked_dim(dim) < 3:
         raise BadDimError("no skew violation exists below dimension 3")
     k = default_observable(dim)
     weights = np.full(dim, 1.0 / dim)  # (1/2, 1/3, 1/6) scaled to mass 3/d, then uniform 1/d
@@ -650,13 +646,18 @@ def _c4_values(w: ViolationWitness, measure: Measure):
 class Criterion:
     """What the harness knows about one criterion.
 
-    ``block(measure, cfg, trials)`` evaluates a block of trials, given the
-    Measure under test (None for LEMMA2 and THEOREM3); C5 has none, since its
-    restarts ascend together.  ``witness_values(witness,
-    measure)`` recomputes a witness's (value_before, value_after).
-    ``measure`` is the report's fixed measure label, None where the caller
-    names the measure (the re-evaluator then gets measure None).  ``trials``
-    is the default trial count.
+    ``block(measure, cfg, trials, rngs)`` evaluates a block of trials, given
+    the Measure under test (None for LEMMA2 and THEOREM3) and the trials'
+    streams, which ``_blocks`` seeds; C5 has none, since its restarts ascend
+    together.  A block returns its rows ``(slack, violation, make_witness,
+    counted)``: each trial's signed slack and violation flag, ``make_witness(i)``
+    building row i's ViolationWitness (``_rows`` calls it only for a row that
+    may be the report's witness), and which rows count towards the worst
+    slack, None when all do (exempt and inconclusive trials do not).
+    ``witness_values(witness, measure)`` recomputes a witness's (value_before,
+    value_after).  ``measure`` is the report's fixed measure label, None where
+    the caller names the measure (the re-evaluator then gets measure None).
+    ``trials`` is the default trial count.
     """
 
     block: Optional[Callable]
@@ -697,25 +698,19 @@ def check_criterion(
     if not (is_integer(jobs) and jobs >= 1):
         raise BadParamsError(f"jobs must be an integer >= 1, got {jobs!r}")
     measure = None if entry.measure else measure_by_name(label, dim=cfg.dim)
-    workers = min(jobs, os.cpu_count() or 1)
+    workers, max_value = min(jobs, os.cpu_count() or 1), None
     if entry.block is None:
         block, max_value = _c5_block(measure, cfg)
-        blocks = [block]
+        slack, counted, violation, witness = _rows([block])
     elif label == "int_rand" and workers > 1:
         from concurrent.futures import ProcessPoolExecutor  # here, so that runs without a pool never load it
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
             # measure_by_name's int_rand (no optimizer config), its mixed rows one task each
             pooled = dataclasses.replace(measure, evaluate=lambda rho: m_mod._int_rand(rho, None, pool.map))
-            blocks, max_value = _run_trials(criterion, pooled, cfg), None
+            slack, counted, violation, witness = _rows(_blocks(criterion, pooled, cfg))
     else:
-        blocks, max_value = _run_trials(criterion, measure, cfg), None
-    slack = np.concatenate([b.slack for b in blocks])
-    counted = np.concatenate([b.counted for b in blocks])
-    violation = np.concatenate([b.violation for b in blocks])
-    # the witness of least slack over the blocks, the first one on ties
-    least = [(b.slack[b.violation].min(), i) for i, b in enumerate(blocks) if b.witness is not None]
-    witness = blocks[min(least)[1]].witness if least else None
+        slack, counted, violation, witness = _rows(_blocks(criterion, measure, cfg))
     return CriterionReport(
         criterion=criterion,
         measure=label,

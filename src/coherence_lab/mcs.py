@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from .channels import KrausChannel
-from .errors import BadDimError
+from .numerics import checked_dim
 from .states import DensityMatrix, PureState, _purity, density_matrices
 
 _TWO_PI = 2.0 * np.pi
@@ -18,8 +18,7 @@ _TWO_PI = 2.0 * np.pi
 
 def uniform_superposition(dim: int) -> PureState:
     """The all-phases-zero maximally coherent state (1/sqrt(d)) sum_j |j>."""
-    if dim < 2:
-        raise BadDimError("dim must be >= 2")
+    dim = checked_dim(dim)
     return PureState(np.full(dim, 1.0 / np.sqrt(dim), dtype=np.complex128))
 
 
@@ -39,9 +38,7 @@ def is_mcs(rho: DensityMatrix, tol: float = 1e-8) -> bool:
 
 def mcs_sample(dim: int, seed) -> PureState:
     """Random maximally coherent state: uniform phases, first fixed to zero."""
-    if dim < 2:
-        raise BadDimError("dim must be >= 2")
-    return PureState(_draw_mcs(np.random.default_rng(seed), dim))
+    return PureState(_draw_mcs(np.random.default_rng(seed), checked_dim(dim)))
 
 
 def _draw_mcs(rng: np.random.Generator, dim: int) -> np.ndarray:

@@ -14,7 +14,7 @@ from functools import cached_property
 import numpy as np
 
 from . import numerics
-from .errors import BadDimError, BadPayloadError, BadRankError, NonSquareError, NotNormalizedError
+from .errors import BadPayloadError, BadRankError, NonSquareError, NotNormalizedError
 from .numerics import dagger
 
 # Two pure states are "the same" when |<psi|phi>| >= 1 - PHASE_EQ_TOL.
@@ -172,9 +172,7 @@ def _purity(m: np.ndarray) -> np.ndarray:
 
 def random_pure(dim: int, seed) -> PureState:
     """Haar-random pure state: normalized standard complex Gaussian vector."""
-    if dim < 2:
-        raise BadDimError("dim must be >= 2")
-    return PureState(_draw_pure(np.random.default_rng(seed), dim))
+    return PureState(_draw_pure(np.random.default_rng(seed), numerics.checked_dim(dim)))
 
 
 def _draw_pure(rng: np.random.Generator, dim: int) -> np.ndarray:
@@ -185,6 +183,7 @@ def _draw_pure(rng: np.random.Generator, dim: int) -> np.ndarray:
 
 def random_density(dim: int, rank: int, seed) -> DensityMatrix:
     """Random density matrix G G†/tr(G G†) with G a dim x rank complex Gaussian."""
+    dim = numerics.checked_dim(dim)
     if not 1 <= rank <= dim:
         raise BadRankError(f"rank must be in [1, {dim}], got {rank}")
     return DensityMatrix(_gram_states(_draw_gram(np.random.default_rng(seed), dim, rank)), check_psd=False)

@@ -328,7 +328,8 @@ def test_malformed_channel_payload_is_exit_3(tmp_path, capsys):
 
 def test_dim_above_16_is_exit_3(tmp_path, capsys):
     state = tmp_path / "psi17.json"
-    state.write_text(json.dumps(uniform_superposition(17).to_dict()))
+    amplitudes = [17**-0.5] * 17  # uniform_superposition(17), which the samplers' dim rule rejects
+    state.write_text(json.dumps({"dim": 17, "kind": "pure", "re": amplitudes, "im": [0.0] * 17}))
     channel = tmp_path / "id17.json"
     identity = {"re": np.eye(17).ravel().tolist(), "im": [0.0] * 289}
     channel.write_text(json.dumps({"dim": 17, "kraus": [identity]}))

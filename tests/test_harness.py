@@ -46,7 +46,7 @@ from coherence_lab.harness import (
     skew_violation_witness,
     skew_witness_report,
 )
-from coherence_lab.mcs import is_mcs, mcs_deviation, mcs_sample
+from coherence_lab.mcs import is_mcs, mcs_deviation, mcs_sample, uniform_superposition
 from coherence_lab.measures import MEASURE_NAMES, c_l1, c_rel_ent, l1_pure, measure_by_name, rel_ent_pure
 from coherence_lab.numerics import dagger
 from coherence_lab.states import DensityMatrix, PureState, from_pure, random_density, random_pure
@@ -356,6 +356,40 @@ def test_blocks_match_the_per_trial_reference(criterion, measure, monkeypatch):
             assert abs(after - report.witness.value_after) <= 1e-12
 
 
+@pytest.mark.parametrize("seed", [0, 3])
+def test_the_witness_is_the_trial_of_least_slack_across_blocks(seed, monkeypatch):
+    cfg = small_cfg(dim=3, n=60, seed=seed)
+    monkeypatch.setattr(harness, "STACK_BUDGET", 7 * _row_entries("C2", cfg))  # 7 trials a block
+    report = check_criterion("C2", "skew", cfg)
+    slacks = _per_trial_slacks("C2", "skew", cfg)
+    worst = int(slacks.argmin())
+    assert np.flatnonzero(slacks < -cfg.tol)[0] // 7 < worst // 7  # an earlier block violates too
+    rho = _per_trial_input(np.random.default_rng([seed, worst]), cfg.dim, "skew")
+    assert np.abs(report.witness.state.matrix - rho.matrix).max() <= 1e-12
+    assert report.witness.value_before - report.witness.value_after == report.worst_violation
+
+
+def test_the_first_block_wins_a_tie_for_the_witness(monkeypatch):
+    made = []
+
+    def block(measure, cfg, trials, rngs):  # row 3 violates: equally in blocks 1 and 2, less in block 3
+        slack = np.ones(len(trials))
+        slack[3] = -1.0 if trials.start < 14 else -0.5
+
+        def make_witness(i):
+            made.append(trials[i])
+            return ViolationWitness(DensityMatrix(np.eye(cfg.dim) / cfg.dim), None, 0.0, 1.0, {"trial": trials[i]})
+
+        return slack, slack < 0, make_witness, None
+
+    cfg = small_cfg(n=21)
+    monkeypatch.setattr(harness, "STACK_BUDGET", 7 * _row_entries("C2", cfg))  # 7 trials a block
+    monkeypatch.setitem(harness.CRITERIA, "C2", dataclasses.replace(harness.CRITERIA["C2"], block=block))
+    report = check_criterion("C2", "l1", cfg)
+    assert (report.violations, report.worst_violation) == (3, -1.0)
+    assert report.witness.aux == {"trial": 3} and made == [3]  # no witness is built for blocks 2 and 3
+
+
 def _lemma2_trial(rng, trial, cfg):
     """One LEMMA2 trial through the public API: its slack and whether it counts."""
     rho = from_pure(mcs_sample(cfg.dim, rng)) if trial % 2 == 0 else _per_trial_input(rng, cfg.dim, "any")
@@ -396,20 +430,19 @@ def test_channel_blocks_match_the_per_trial_reference(criterion, loose_tol, dim,
     counted flag of each trial evaluated alone through the public API."""
     cfg = small_cfg(dim=dim, n=40, seed=seed, **({"tol": loose_tol} if loose else {}))
     monkeypatch.setattr(harness, "STACK_BUDGET", 7 * _row_entries(criterion, cfg))  # 7 trials a block
-    blocks = harness._run_trials(criterion, None, cfg)
+    block_slack, block_counted = harness._rows(harness._blocks(criterion, None, cfg))[:2]
     probes = _probe_panel(dim, seed, harness.PROBE_COUNT)
     ref = [
         _lemma2_trial(rng, t, cfg) if criterion == "LEMMA2" else _theorem3_trial(rng, cfg, probes)
         for t, rng in ((t, np.random.default_rng([seed, t])) for t in range(cfg.n_trials))
     ]
     slack, counted = (np.array(x) for x in zip(*ref))
-    assert _same_bits(np.concatenate([b.slack for b in blocks]), slack)
-    assert _same_bits(np.concatenate([b.counted for b in blocks]), counted)
+    assert _same_bits(block_slack, slack)
+    assert _same_bits(block_counted, counted)
 
 
 def _counted(criterion, cfg):
-    blocks = harness._run_trials(criterion, None, cfg)
-    return np.concatenate([b.counted for b in blocks])
+    return harness._rows(harness._blocks(criterion, None, cfg))[1]
 
 
 @pytest.mark.parametrize("dim", [2, 3, 4, 6])
@@ -559,8 +592,8 @@ def test_lemma2_no_violations_and_exercises_cpo_branch():
     assert report.violations == 0
     # some trials are exempt (CPO on MCS input): the block marks them, and their slack does not count
     assert report.trials == 200
-    blocks = harness._run_trials("LEMMA2", None, small_cfg(n=400))
-    assert sum(int(np.count_nonzero(~b.counted)) for b in blocks) == 82
+    counted = harness._rows(harness._blocks("LEMMA2", None, small_cfg(n=400)))[1]
+    assert int(np.count_nonzero(~counted)) == 82
 
 
 def test_theorem3_no_masquerading_channels():
@@ -858,11 +891,27 @@ def test_a_full_block_stays_within_a_few_budgets(criterion, measure, dim):
         if criterion == "C5":
             harness._c5_block(measure, cfg)
         else:
-            harness.CRITERIA[criterion].block(measure, cfg, range(rows))
+            next(harness._blocks(criterion, measure, cfg))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak <= 12 * 16 * harness.STACK_BUDGET
+
+
+@pytest.mark.parametrize("dim", [1, 17, 3.0])
+def test_every_sampler_takes_an_integer_dim_in_2_to_16(dim):
+    samplers = [
+        lambda: random_pure(dim, 0),
+        lambda: random_density(dim, 1, 0),
+        lambda: random_incoherent_unitary(dim, 0),
+        lambda: random_incoherent_channel(dim, 2, 0),
+        lambda: mcs_sample(dim, 0),
+        lambda: uniform_superposition(dim),
+        lambda: skew_violation_witness(dim),
+    ]
+    for sample in samplers:
+        with pytest.raises(BadDimError, match="<= 16"):
+            sample()
 
 
 def test_c5_rejects_bad_dim():
@@ -930,16 +979,32 @@ def test_report_without_witness_round_trips():
     assert back.to_dict() == report.to_dict()
 
 
-@pytest.mark.parametrize("parse", [report_from_dict, harness.witness_from_dict])
-@pytest.mark.parametrize("malform", ["empty", "bad float", "list"])
+# fields that only a report has, malformed, and the error each raises: a dim as a state's dim does
+BAD_REPORT_FIELDS = {
+    "dim float": ({"dim": 3.7}, BadDimError),
+    "dim 99": ({"dim": 99}, BadDimError),
+    "trials float": ({"trials": 60.0}, BadPayloadError),
+    "violations bool": ({"violations": True}, BadPayloadError),
+    "seed str": ({"seed": "1"}, BadPayloadError),
+    "max_value str": ({"max_value": "abc"}, BadPayloadError),
+}
+
+
+@pytest.mark.parametrize("malform, parse", [
+    *((m, p) for m in ("empty", "bad float", "list") for p in (report_from_dict, harness.witness_from_dict)),
+    *((m, report_from_dict) for m in BAD_REPORT_FIELDS),
+])
 def test_malformed_report_payloads_raise_bad_payload(parse, malform):
     report = check_criterion("C2", "skew", small_cfg(n=60, seed=1))
     payload = json.loads(json.dumps(report.to_dict()))
     if parse is harness.witness_from_dict:
         payload = payload["witness"]
     float_field = "worst_violation" if parse is report_from_dict else "value_before"
-    bad = {"empty": {}, "bad float": {**payload, float_field: "x"}, "list": []}[malform]
-    with pytest.raises(BadPayloadError):
+    cases = {"empty": ({}, BadPayloadError), "bad float": ({**payload, float_field: "x"}, BadPayloadError),
+             "list": ([], BadPayloadError)}
+    cases.update({name: ({**payload, **fields}, error) for name, (fields, error) in BAD_REPORT_FIELDS.items()})
+    bad, error = cases[malform]
+    with pytest.raises(error):
         parse(bad)
 
 
